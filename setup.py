@@ -1,10 +1,16 @@
-"""Setuptools shim.
+"""Packaging for the ``repro`` engine (``pip install -e .``).
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works in offline environments whose setuptools cannot
-build PEP 660 editable wheels (no ``wheel`` package available).
+Runtime dependencies only; ``requirements.txt`` adds the test tools.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description="VQPy reproduction: an object-oriented video analytics engine",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "networkx", "scipy"],
+)

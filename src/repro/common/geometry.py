@@ -145,13 +145,19 @@ def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     """
     if not boxes_a or not boxes_b:
         return np.zeros((len(boxes_a), len(boxes_b)))
-    a = np.array([b.as_tuple() for b in boxes_a], dtype=float)
-    b = np.array([b.as_tuple() for b in boxes_b], dtype=float)
+    return iou_matrix_xyxy(
+        np.array([b.as_tuple() for b in boxes_a], dtype=float),
+        np.array([b.as_tuple() for b in boxes_b], dtype=float),
+    )
+
+
+def iou_matrix_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou_matrix` of ``(n, 4)`` and ``(m, 4)`` ``x1, y1, x2, y2`` arrays."""
     ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
     iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
     ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
     iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
+    inter = np.maximum(ix2 - ix1, 0.0) * np.maximum(iy2 - iy1, 0.0)
     area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
     area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
     union = area_a[:, None] + area_b[None, :] - inter

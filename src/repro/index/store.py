@@ -73,14 +73,26 @@ class VideoIndexStore:
         self._payload = payload
 
     def save(self) -> None:
-        """Atomically write the canonical serialization (no-op in memory)."""
+        """Atomically write the canonical serialization (no-op in memory).
+
+        The lock is held from serialization to rename, so concurrent saves
+        land one after another and the file always holds a whole snapshot.
+        The temp file sits next to the target (``os.replace`` stays a
+        same-filesystem atomic rename) under a per-process, per-thread name,
+        so saves from other stores or processes never share it.
+        """
         if self.path is None:
             return
-        data = self.to_json()
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, self.path)
+        with self._lock:
+            data = self.to_json()
+            tmp = f"{self.path}.{os.getpid()}.{threading.get_ident()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(data)
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
 
     def to_json(self) -> str:
         """Canonical JSON: key-sorted, so equal contents serialize equally."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.common.clock import CostProfile, SimClock
@@ -29,7 +29,9 @@ class Detection:
     track_id: Optional[int] = None
 
     def with_track(self, track_id: int) -> "Detection":
-        return replace(self, track_id=track_id)
+        # Built directly: trackers relabel every detection of every frame,
+        # and dataclasses.replace re-inspects the fields on each call.
+        return Detection(self.class_name, self.bbox, self.score, self.frame_id, self.gt_object_id, track_id)
 
 
 class SimulatedModel:

@@ -12,15 +12,15 @@ Two trackers are provided, mirroring the ones the paper uses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.common.clock import CostProfile, SimClock
-from repro.common.geometry import BBox, iou_matrix
+from repro.common.geometry import BBox, iou_matrix, iou_matrix_xyxy
 from repro.models.base import Detection, SimulatedModel
-from repro.models.kalman import KalmanBoxFilter
+from repro.models.kalman import KalmanBoxFilter, KalmanStack
 
 
 @dataclass
@@ -31,8 +31,9 @@ class Track:
     class_name: str
     detections: List[Detection] = field(default_factory=list)
     misses: int = 0
-    #: The Kalman filter tracking this object (None for trackers without a
-    #: motion model, e.g. :class:`IoUTracker`).
+    #: The Kalman filter tracking this object: a live handle onto its row of
+    #: the tracker's stack (None for trackers without a motion model, e.g.
+    #: :class:`IoUTracker`).
     kalman: Optional[KalmanBoxFilter] = None
 
     @property
@@ -116,6 +117,12 @@ class KalmanTracker(SimulatedModel):
     assignment problem on the IoU between Kalman-predicted boxes and new
     detections.  Unmatched detections start new tracks; tracks that go
     unmatched for ``max_misses`` consecutive frames are retired.
+
+    Every active track's Kalman state is one row of a single
+    :class:`~repro.models.kalman.KalmanStack`, keyed by track id and kept in
+    birth order: a frame costs one vectorised predict over all tracks and
+    one vectorised update over the matched ones.  Each ``Track.kalman`` is a
+    handle onto its track's row.
     """
 
     def __init__(
@@ -134,27 +141,18 @@ class KalmanTracker(SimulatedModel):
     def reset(self) -> None:
         """Forget all state (used when a pipeline starts a new video)."""
         self._next_track_id = 1
-        self._filters: Dict[int, KalmanBoxFilter] = {}
+        self._kalman = KalmanStack()
         self._tracks: Dict[int, Track] = {}
 
     # -- association --------------------------------------------------------
-    def _associate(self, predicted: Dict[int, BBox], detections: Sequence[Detection]):
-        track_ids = list(predicted)
-        if not track_ids or not detections:
-            return {}, list(range(len(detections))), track_ids
-        ious = iou_matrix([predicted[t] for t in track_ids], [d.bbox for d in detections])
+    def _associate(self, boxes: np.ndarray) -> Tuple[List[int], List[int]]:
+        """Matched ``(rows, detection indices)`` pairs, rows ascending."""
+        if not len(self._kalman) or not len(boxes):
+            return [], []
+        ious = iou_matrix_xyxy(self._kalman.boxes(), boxes)
         row, col = linear_sum_assignment(-ious)
-        matches: Dict[int, int] = {}
-        matched_dets = set()
-        matched_tracks = set()
-        for r, c in zip(row, col):
-            if ious[r, c] >= self.iou_threshold:
-                matches[track_ids[r]] = int(c)
-                matched_dets.add(int(c))
-                matched_tracks.add(track_ids[r])
-        unmatched_dets = [i for i in range(len(detections)) if i not in matched_dets]
-        unmatched_tracks = [t for t in track_ids if t not in matched_tracks]
-        return matches, unmatched_dets, unmatched_tracks
+        keep = ious[row, col] >= self.iou_threshold
+        return row[keep].tolist(), col[keep].tolist()
 
     # -- public API ----------------------------------------------------------
     def update(self, detections: Sequence[Detection], clock: Optional[SimClock] = None) -> List[Detection]:
@@ -164,38 +162,52 @@ class KalmanTracker(SimulatedModel):
         in the same order as the input.
         """
         self.charge(clock, n_items=len(detections))
-        predicted = {tid: f.predict() for tid, f in self._filters.items()}
-        matches, unmatched_dets, unmatched_tracks = self._associate(predicted, detections)
+        kalman, tracks = self._kalman, self._tracks
+        # Sparse scenes see many frames without tracks: skip the array work.
+        if len(kalman):
+            kalman.predict()
+        boxes = np.array([d.bbox.as_tuple() for d in detections], dtype=float).reshape(-1, 4)
+        rows, cols = self._associate(boxes)
 
         out: List[Optional[Detection]] = [None] * len(detections)
-        for tid, det_idx in matches.items():
+        if rows:
+            kalman.update(np.array(rows), boxes[cols])
+        for row, det_idx in zip(rows, cols):
+            tid = kalman.keys[row]
             det = detections[det_idx].with_track(tid)
-            self._filters[tid].update(det.bbox)
-            self._tracks[tid].detections.append(det)
-            self._tracks[tid].misses = 0
+            track = tracks[tid]
+            track.detections.append(det)
+            track.misses = 0
             out[det_idx] = det
 
-        for det_idx in unmatched_dets:
-            det = detections[det_idx]
-            tid = self._next_track_id
-            self._next_track_id += 1
-            self._filters[tid] = KalmanBoxFilter(det.bbox)
-            tracked = det.with_track(tid)
-            self._tracks[tid] = Track(
-                track_id=tid,
-                class_name=det.class_name,
-                detections=[tracked],
-                kalman=self._filters[tid],
-            )
-            out[det_idx] = tracked
+        matched = set(rows)
+        retired = []
+        for row, tid in enumerate(kalman.keys):
+            if row not in matched:
+                track = tracks[tid]
+                track.misses += 1
+                if track.misses > self.max_misses:
+                    track.kalman.detach()
+                    del tracks[tid]
+                    retired.append(row)
+        if retired:
+            kalman.keep(np.delete(np.arange(len(kalman)), retired))
 
-        for tid in unmatched_tracks:
-            self._tracks[tid].misses += 1
-            if self._tracks[tid].misses > self.max_misses:
-                del self._tracks[tid]
-                del self._filters[tid]
-
-        return [d for d in out if d is not None]
+        born = [i for i, det in enumerate(out) if det is None]
+        if born:
+            tids = list(range(self._next_track_id, self._next_track_id + len(born)))
+            self._next_track_id += len(born)
+            kalman.add(tids, boxes[born])
+            for tid, det_idx in zip(tids, born):
+                det = detections[det_idx].with_track(tid)
+                tracks[tid] = Track(
+                    track_id=tid,
+                    class_name=det.class_name,
+                    detections=[det],
+                    kalman=KalmanBoxFilter(stack=kalman, key=tid),
+                )
+                out[det_idx] = det
+        return out
 
     @property
     def active_tracks(self) -> List[Track]:

@@ -12,6 +12,9 @@ produces.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession
 from repro.frontend.builtin import Car, Person
 from repro.frontend.query import Query
+from repro.index.store import VideoIndexStore
 from repro.videosim.multicam import CameraPlacement, handoff_scenario
 
 
@@ -75,6 +79,34 @@ def run_and_dump(scenario, max_workers):
     )
     results = session.execute_many([CarQuery(), PersonQuery()])
     return session, results, session.index_store.to_json()
+
+
+class TestConcurrentSaves:
+    def test_threads_saving_one_store_never_collide(self, tmp_path):
+        # Every feed of a multi-camera session saves the shared store after
+        # its scan; saves racing on one temp file used to lose the rename.
+        path = tmp_path / "index.json"
+        store = VideoIndexStore(str(path))
+        threads, rounds = 4, 25
+        barrier = threading.Barrier(threads)
+
+        def save_repeatedly(worker):
+            barrier.wait()
+            for i in range(rounds):
+                store.record("video", "detections", "yolox", "v1", f"{worker}:{i}", [worker, i])
+                store.save()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often to widen the race
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for future in [pool.submit(save_repeatedly, w) for w in range(threads)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert path.read_text(encoding="utf-8") == store.to_json()
+        assert VideoIndexStore(str(path)).to_json() == store.to_json()
+        assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
 
 
 class TestConcurrentWrites:
