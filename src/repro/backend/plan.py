@@ -10,15 +10,78 @@ and ``to_networkx()`` exposes it as a graph for tests and tooling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from typing import Tuple
-
 from repro.backend.analysis import QueryAnalysis
 from repro.backend.operators import DetectorOp, JoinOp, Operator, TrackerOp
+from repro.frontend.expr import Predicate, ValueExpr
+from repro.frontend.query import Aggregate
+from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
+
+#: Types whose values :func:`structural` compares by value.
+_LITERAL_TYPES = (type(None), bool, int, str, bytes)
+
+
+class _Identity:
+    """Wraps an object so that it hashes and compares by identity only."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: Any) -> None:
+        self.obj = obj
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Identity and other.obj is self.obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+
+def structural(value: Any) -> Any:
+    """A hashable stand-in for ``value`` that is equal only for equal structure.
+
+    VObj variables map to ``(type, var_name)`` and relations to their type,
+    name and endpoints; literals compare by value (and type, so ``1`` and
+    ``True`` differ); operators, value expressions, predicates and
+    aggregates compare attribute by attribute.  Everything else, callables
+    included, compares by identity, so an unknown object never makes two
+    structures equal.  ``repr`` is not used: it drops information (a
+    ``PropertyRef`` renders without its VObj type).
+    """
+    kind = type(value)
+    if kind in _LITERAL_TYPES:
+        return (kind, value)
+    if kind is float:
+        return (kind, value.hex())
+    if kind is tuple or kind is list:
+        return (kind, tuple(structural(item) for item in value))
+    if isinstance(value, VObj):
+        return (VObj, kind, value.var_name)
+    if isinstance(value, Relation):
+        return (Relation, kind, value.var_name, structural(value.subject), structural(value.object))
+    if isinstance(value, (Operator, ValueExpr, Predicate, Aggregate)):
+        return (kind, tuple((name, structural(attr)) for name, attr in sorted(vars(value).items())))
+    return _Identity(value)
+
+
+def analysis_key(analysis: QueryAnalysis) -> Tuple:
+    """Everything a query fixes that planning and the sink read.
+
+    Two queries with equal keys analyze, plan and match alike: their
+    variables (type, name, scene flag), relations, frame and video
+    predicates, and frame and video outputs are structurally identical.
+    """
+    return (
+        tuple((info.vobj_type, info.var_name, info.is_scene) for info in analysis.variables),
+        tuple(structural(info.relation) for info in analysis.relations),
+        structural(analysis.frame_predicate),
+        structural(analysis.video_predicate),
+        structural(analysis.frame_outputs),
+        structural(analysis.video_outputs),
+    )
 
 
 @dataclass
@@ -109,6 +172,12 @@ class QueryPlan:
             if pair not in pairs:
                 pairs.append(pair)
         return pairs
+
+    def structural_key(self) -> Tuple:
+        """Equal for two plans whose pipeline and sink produce the same
+        records on every frame: same variant, structurally identical pipeline
+        operators, and the same :func:`analysis_key`."""
+        return (self.variant, structural(self.pipeline_operators()), analysis_key(self.analysis))
 
     def operator_kinds(self) -> List[str]:
         return [op.kind for op in self.operators()]

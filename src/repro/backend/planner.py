@@ -15,8 +15,8 @@ Given an analyzed query, the planner:
    milliseconds) and accuracy (F1 against the most-general plan's results),
    and picks the cheapest plan meeting the accuracy target (§4.3).
 
-Chosen variants are cached per (query, video) so repeated queries on similar
-data skip re-profiling.
+Chosen variants are cached per (query structure, video, batch) so repeated
+and structurally identical queries skip re-profiling.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.backend.operators import (
     TrackerOp,
     VObjFilterOp,
 )
-from repro.backend.plan import QueryPlan
+from repro.backend.plan import QueryPlan, analysis_key
 from repro.common.config import (
     AccuracyTarget,
     FaultConfig,
@@ -222,7 +222,7 @@ class Planner:
         #: ``QueryResult.explain()``.  Populated on every :meth:`plan` exit
         #: path, including cache hits and unprofiled single-candidate plans.
         self.last_candidate_reports: Dict[str, List] = {}
-        #: (query class name, video name, batch signature) -> chosen variant.
+        #: (analysis key, video name, batch signature) -> chosen variant.
         self._variant_cache: Dict[Tuple, str] = {}
         #: filter model name -> number of queries in the current batch whose
         #: VObjs register it (set by :meth:`begin_batch`).  The scan gate
@@ -504,7 +504,10 @@ class Planner:
         batch_signature: Tuple = ()
         if self.config.enable_scan_gating and self.config.enable_gate_aware_costs:
             batch_signature = tuple(sorted(self._batch_filter_counts.items()))
-        cache_key = (type(query).__name__, video.spec.name, batch_signature)
+        # Keyed on the query's structure, not its class: two instances of one
+        # class with different thresholds plan differently, and unrelated
+        # classes sharing a name must not share a variant.
+        cache_key = (analysis_key(analysis), video.spec.name, batch_signature)
         if cache_key in self._variant_cache:
             wanted = self._variant_cache[cache_key]
             for candidate in candidates:

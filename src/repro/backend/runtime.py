@@ -15,7 +15,12 @@ This module is where the paper's two object-level optimizations live:
 
 The :class:`ExecutionContext` also provides cross-query sharing of detector,
 tracker, and property-model results, which implements the paper's
-query-level computation reuse.
+query-level computation reuse.  Reuse extends past model calls to whole
+operator pipelines and sinks: leaves of a batch whose plans are
+structurally identical (:meth:`~repro.backend.plan.QueryPlan.structural_key`)
+run the pipeline once per frame, and the scan scheduler hands the frame's
+match records to the other leaves
+(:meth:`~repro.backend.streaming.PlanStream.reuse_frame`).
 """
 
 from __future__ import annotations

@@ -37,11 +37,14 @@ filters ahead of detectors; §4.2/§5.3 — cross-query reuse):
   gap (the scan stops mid-re-scan and never reaches the probed frame), a
   once-per-scan edge bounded at one invocation.
 * :class:`ScanScheduler` — drives the per-frame loop: runs or skips each
-  leaf pipeline, retires streams whose ``done()`` protocol reports their
-  answer is determined (existence / top-k bounds), stops the scan entirely
-  when every stream is done, and releases per-frame caches only once a
-  frame has aged out of the widest lookback window any active stream still
-  needs (so gating never strands duration/temporal lookback state).
+  leaf pipeline (each distinct pipeline runs once per frame: a leaf whose
+  plan is structurally identical to one that already ran on the frame
+  takes that run's match records), retires streams whose ``done()``
+  protocol reports their answer is determined (existence / top-k bounds),
+  stops the scan entirely when every stream is done, and releases
+  per-frame caches only once a frame has aged out of the widest lookback
+  window any active stream still needs (so gating never strands
+  duration/temporal lookback state).
 
 The scheduler is pure orchestration: all per-frame computation still lives
 in the operator pipelines and the execution context's shared caches.
@@ -439,6 +442,9 @@ class ScanScheduler:
         self._active_leaves: List[PlanStream] = [
             leaf for stream in self._active for leaf in stream.plan_streams()
         ]
+        #: Leaf -> share group, for leaves with a structural twin in the
+        #: batch (see :meth:`_run_leaf`); leaves without one are absent.
+        self._share_groups: Dict[PlanStream, int] = self._build_share_groups()
         self._controllers: Dict[int, StrideController] = {}
         self._cohorts: List[StrideCohort] = []
         if self.stride_cfg is not None:
@@ -592,14 +598,15 @@ class ScanScheduler:
             streams = [stream for cohort in cohorts for stream in cohort.streams]
         frame_start = ctx.clock.snapshot()
         degraded = 0
+        ran: Dict[int, PlanStream] = {}
         for leaf in leaves:
             if self.faults is not None:
-                degraded += self._run_leaf_resilient(leaf, frame)
+                degraded += self._run_leaf_resilient(leaf, frame, ran)
             elif self.gate is not None and not self.gate.admits(leaf, frame):
                 leaf.skip_frame(frame)
                 self._note_gated(leaf, frame)
             else:
-                leaf.process_frame(frame, ctx)
+                self._run_leaf(leaf, frame, ran)
                 self.stats.leaf_frames_processed += 1
         per_leaf_ms = ctx.clock.since(frame_start) / max(len(leaves), 1)
         for leaf in leaves:
@@ -612,19 +619,65 @@ class ScanScheduler:
         for cohort in self._cohorts if cohorts is None else cohorts:
             cohort.last_processed = frame.frame_id
 
+    def _build_share_groups(self) -> Dict[PlanStream, int]:
+        """Group leaves whose plans have equal structural keys.
+
+        Only groups of two or more are kept.  With tracing on, each twin
+        gets one ``leaf-shared`` decision naming the group's first leaf.
+        """
+        by_key: Dict[Any, List[PlanStream]] = {}
+        for leaf in self._active_leaves:
+            key = leaf.share_key()
+            if key is not None:
+                by_key.setdefault(key, []).append(leaf)
+        groups: Dict[PlanStream, int] = {}
+        twins = [members for members in by_key.values() if len(members) > 1]
+        for group, members in enumerate(twins):
+            for leaf in members:
+                groups[leaf] = group
+            if self.obs is not None:
+                for twin in members[1:]:
+                    self.obs.decisions.record(
+                        "leaf-shared",
+                        "identical-plan",
+                        subject=twin.query_name,
+                        primary=members[0].query_name,
+                    )
+        return groups
+
+    def _run_leaf(self, leaf: PlanStream, frame: Frame, ran: Dict[int, PlanStream]) -> None:
+        """Run the leaf's pipeline on the frame, or reuse a twin's run.
+
+        ``ran`` is scoped to one pass over one frame: it maps each share
+        group to the leaf that finished its own ``process_frame`` in this
+        pass.  The first leaf of a group to get here runs itself, so tracker
+        advance, index write-through and model faults all happen there;
+        later twins take its records and replay its operator overhead.
+        """
+        group = self._share_groups.get(leaf)
+        twin = ran.get(group) if group is not None else None
+        if twin is None:
+            leaf.process_frame(frame, self.ctx)
+            if group is not None:
+                ran[group] = leaf
+        else:
+            leaf.reuse_frame(frame, twin, self.ctx)
+
     # -- fault degradation --------------------------------------------------------
-    def _run_leaf_resilient(self, leaf: PlanStream, frame: Frame) -> int:
+    def _run_leaf_resilient(
+        self, leaf: PlanStream, frame: Frame, ran: Dict[int, PlanStream]
+    ) -> int:
         """Gate + process one leaf, degrading on model faults; 1 if degraded."""
         try:
             if self.gate is not None and not self.gate.admits(leaf, frame):
                 leaf.skip_frame(frame)
                 self._note_gated(leaf, frame)
                 return 0
-            leaf.process_frame(frame, self.ctx)
+            self._run_leaf(leaf, frame, ran)
             self.stats.leaf_frames_processed += 1
             return 0
         except ModelError:
-            return 1 if self._degrade_leaf(leaf, frame, "model-unavailable") else 0
+            return 1 if self._degrade_leaf(leaf, frame, "model-unavailable", ran) else 0
 
     def _degrade_frame(self, frame: Frame, reason: str) -> bool:
         """Handle a corrupted/dropped frame: fill from interpolation or skip.
@@ -646,8 +699,9 @@ class ScanScheduler:
         leaves = self._active_leaves
         frame_start = ctx.clock.snapshot()
         degraded = 0
+        ran: Dict[int, PlanStream] = {}
         for leaf in leaves:
-            degraded += 1 if self._degrade_leaf(leaf, frame, reason) else 0
+            degraded += 1 if self._degrade_leaf(leaf, frame, reason, ran) else 0
         per_leaf_ms = ctx.clock.since(frame_start) / max(len(leaves), 1)
         for leaf in leaves:
             leaf.result.per_frame_ms.append(per_leaf_ms)
@@ -666,7 +720,9 @@ class ScanScheduler:
                 return False
         return True
 
-    def _degrade_leaf(self, leaf: PlanStream, frame: Frame, reason: str) -> bool:
+    def _degrade_leaf(
+        self, leaf: PlanStream, frame: Frame, reason: str, ran: Dict[int, PlanStream]
+    ) -> bool:
         """Degrade one (leaf, frame): seed interpolated detections and re-run
         the pipeline over them (cache hits make this idempotent — real
         results computed before a mid-pipeline fault are never recomputed or
@@ -698,7 +754,7 @@ class ScanScheduler:
                     leaf.skip_frame(frame)
                     self._note_gated(leaf, frame)
                     return False
-                leaf.process_frame(frame, ctx)
+                self._run_leaf(leaf, frame, ran)
                 leaf.mark_interpolated(frame.frame_id)
                 mode = "interpolated"
             except ModelError:
@@ -926,18 +982,32 @@ class ScanScheduler:
                         replace(track.last_detection, bbox=bbox, frame_id=gap_frame.frame_id)
                     )
                 ctx.seed_frame(gap_frame.frame_id, detector_name, pair, interpolated)
+            ran: Dict[int, PlanStream] = {}
+            degraded = False
             for leaf in cohort.leaves:
-                # The gate still applies on filled frames: a stride-1 scan
-                # would have run the (cheap) filters here too, so honouring
-                # them is budget-neutral and keeps a leaf from reporting
-                # matches on frames its own filter would have rejected.
-                if self.gate is not None and not self.gate.admits(leaf, gap_frame):
+                try:
+                    # The gate still applies on filled frames: a stride-1
+                    # scan would have run the (cheap) filters here too, so
+                    # honouring them is budget-neutral and keeps a leaf from
+                    # reporting matches on frames its own filter would have
+                    # rejected.
+                    if self.gate is not None and not self.gate.admits(leaf, gap_frame):
+                        leaf.skip_frame(gap_frame)
+                        self._note_gated(leaf, gap_frame)
+                        continue
+                    self._run_leaf(leaf, gap_frame, ran)
+                except ModelError:
+                    # A filter or property model is down.  The frame is
+                    # already seeded, so a rerun would fault again: skip it,
+                    # as a faulted rerun does in _degrade_leaf.
                     leaf.skip_frame(gap_frame)
-                    self._note_gated(leaf, gap_frame)
+                    self._note_degraded(leaf, gap_frame, "model-unavailable", "skipped")
+                    degraded = True
                     continue
-                leaf.process_frame(gap_frame, ctx)
                 leaf.mark_interpolated(gap_frame.frame_id)
                 self.stats.leaf_frames_interpolated += 1
+            if degraded:
+                self.stats.frames_degraded += 1
             per_leaf_ms = ctx.clock.since(frame_start) / max(len(cohort.leaves), 1)
             for leaf in cohort.leaves:
                 leaf.result.per_frame_ms.append(per_leaf_ms)

@@ -20,6 +20,8 @@ Because every stream in a batch advances frame-by-frame against the same
 property-model results are computed exactly once per (model, frame) — the
 paper's query-level computation reuse (§4.2, §5.3) now extends to
 higher-order queries instead of being silently lost after the batched scan.
+Leaves whose plans are structurally identical go one step further and share
+one pipeline run per frame (:meth:`PlanStream.reuse_frame`).
 
 Streams additionally speak the adaptive scan scheduler's protocol
 (:mod:`repro.backend.scheduler`):
@@ -42,6 +44,7 @@ from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.backend.graph import FrameGraph
+from repro.backend.operators import FrameFilterOp
 from repro.backend.plan import QueryPlan
 from repro.backend.results import Event, QueryResult
 from repro.backend.runtime import ExecutionContext
@@ -286,6 +289,9 @@ class PlanStream(QueryStream):
         #: Detector models this leaf runs per frame (stride-sampler probes).
         self.detector_models = plan.detector_models()
         self.operators = plan.pipeline_operators() if gated else plan.operators()
+        #: Operators the last :meth:`process_frame` ran, up to and including
+        #: the one that dropped the frame.
+        self.ops_run = 0
         #: Result bound for early exit (None = unbounded).
         self.limit = limit
         self.result = QueryResult(query_name=plan.query_name, plan_variant=plan.variant)
@@ -324,14 +330,50 @@ class PlanStream(QueryStream):
     def plan_streams(self) -> List["PlanStream"]:
         return [self]
 
+    def share_key(self) -> Optional[Tuple]:
+        """Structural identity this leaf shares with every leaf that would
+        produce the same records on a frame (see :meth:`reuse_frame`).
+
+        None when the leaf must always run itself: in-pipeline frame filters
+        keep state and charge the clock, and relation states are not cached
+        per frame, so rerunning either costs virtual time.
+        """
+        if self.plan.analysis.relations or any(
+            isinstance(op, FrameFilterOp) for op in self.operators
+        ):
+            return None
+        return self.plan.structural_key()
+
     def process_frame(self, frame: Frame, ctx: ExecutionContext) -> None:
         """Run the plan's operators and sink on one frame."""
         graph = FrameGraph(frame)
+        ran = 0
         for op in self.operators:
             graph = op.run(graph, ctx)
+            ran += 1
             if graph.dropped:
                 break
+        self.ops_run = ran
         self.executor._sink(self.plan.analysis, graph, ctx, self.result)
+        self.result.num_frames_processed += 1
+
+    def reuse_frame(self, frame: Frame, twin: "PlanStream", ctx: ExecutionContext) -> None:
+        """Take the frame's records from a leaf with the same :meth:`share_key`.
+
+        ``twin`` ran :meth:`process_frame` on this frame earlier in the same
+        pass, so every detector, tracker and property value this leaf's
+        pipeline would read is already cached and a rerun would only charge
+        operator overhead.  That overhead is replayed charge by charge, so
+        the virtual clock reads exactly as if the pipeline had run.  The
+        frozen match records are shared; the list holding them is not.
+        """
+        for op in self.operators[: twin.ops_run]:
+            op.charge_overhead(ctx)
+        records = twin.result.matches.get(frame.frame_id)
+        if records:
+            if any(record.frame_match for record in records):
+                self.result.matched_frames.append(frame.frame_id)
+            self.result.matches[frame.frame_id] = list(records)
         self.result.num_frames_processed += 1
 
     def skip_frame(self, frame: Frame) -> None:
