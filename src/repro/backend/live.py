@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.backend.executor import Executor
@@ -155,22 +155,7 @@ class LiveStats:
         return self.frames_processed + self.frames_shed + self.frames_late_dropped
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "frames_delivered": self.frames_delivered,
-            "frames_processed": self.frames_processed,
-            "frames_shed": self.frames_shed,
-            "frames_late_dropped": self.frames_late_dropped,
-            "frames_reordered": self.frames_reordered,
-            "frames_lost": self.frames_lost,
-            "duplicates_delivered": self.duplicates_delivered,
-            "reconnects": self.reconnects,
-            "reconnect_failures": self.reconnect_failures,
-            "stalls": self.stalls,
-            "alerts_emitted": self.alerts_emitted,
-            "peak_buffered": self.peak_buffered,
-            "peak_pressure_stride": self.peak_pressure_stride,
-            "pressure_raises": self.pressure_raises,
-        }
+        return asdict(self)
 
 
 class _SequencedFrame:

@@ -46,20 +46,30 @@ filters ahead of detectors; §4.2/§5.3 — cross-query reuse):
   window any active stream still needs (so gating never strands
   duration/temporal lookback state).
 
+Every frame the detector did not observe takes the same path as an
+observed one, :meth:`ScanScheduler._run_frame`, with an :class:`Unobserved`
+naming the reason: a stride gap filled from validated predictions, a
+corrupted or dropped frame, or a leaf whose model is down.  Caches are
+seeded with track-interpolated detections, the ordinary pipelines run over
+them, and the frame is labelled in ``Event.skipped_frames``; the reason
+decides only how seeds are built and what is counted.  Live shed and feed
+outage frames are the exception: they are labelled without running any
+pipeline (:meth:`ScanScheduler.note_missing_frame`).
+
 The scheduler is pure orchestration: all per-frame computation still lives
 in the operator pipelines and the execution context's shared caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend.operators import OPERATOR_OVERHEAD_MS
 from repro.backend.runtime import ExecutionContext
 from repro.backend.streaming import PlanStream, QueryStream, _stream_query_name
 from repro.common.config import StrideConfig
-from repro.common.errors import ModelError
+from repro.common.errors import TransientModelError
 from repro.models.base import Detection
 from repro.models.framefilters import evaluate_frame_filter
 from repro.obs.metrics import MetricsRegistry, RegistryField
@@ -128,81 +138,18 @@ class ScanStats:
     checkpoints_taken = RegistryField(0)
     scan_resumes = RegistryField(0)
 
-    _FIELDS: Tuple[str, ...] = (
-        "frames_scanned",
-        "leaf_frames_processed",
-        "leaf_frames_gated",
-        "gate_evaluations",
-        "gate_cache_hits",
-        "streams_retired",
-        "early_exit_frame",
-        "frames_deferred",
-        "partial_deferrals",
-        "frames_interpolated",
-        "frames_rescanned",
-        "leaf_frames_interpolated",
-        "stride_raises",
-        "stride_resets",
-        "peak_stride",
-        "frames_degraded",
-        "model_retries",
-        "model_failures",
-        "circuit_opens",
-        "faults_injected",
-        "checkpoints_taken",
-        "scan_resumes",
-    )
+    #: Counter names in declaration order (the ``as_dict`` key order); set
+    #: from the descriptors below the class.
+    _FIELDS: Tuple[str, ...]
 
-    def __init__(
-        self,
-        frames_scanned: int = 0,
-        leaf_frames_processed: int = 0,
-        leaf_frames_gated: int = 0,
-        gate_evaluations: int = 0,
-        gate_cache_hits: int = 0,
-        streams_retired: int = 0,
-        early_exit_frame: Optional[int] = None,
-        frames_deferred: int = 0,
-        partial_deferrals: int = 0,
-        frames_interpolated: int = 0,
-        frames_rescanned: int = 0,
-        leaf_frames_interpolated: int = 0,
-        stride_raises: int = 0,
-        stride_resets: int = 0,
-        peak_stride: int = 1,
-        frames_degraded: int = 0,
-        model_retries: int = 0,
-        model_failures: int = 0,
-        circuit_opens: int = 0,
-        faults_injected: int = 0,
-        checkpoints_taken: int = 0,
-        scan_resumes: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, *, registry: Optional[MetricsRegistry] = None, **values: object) -> None:
+        unknown = sorted(set(values) - set(self._FIELDS))
+        if unknown:
+            raise TypeError(f"ScanStats() got unexpected keyword arguments: {unknown}")
         # One registry per stats object: concurrent feeds each own theirs.
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.frames_scanned = frames_scanned
-        self.leaf_frames_processed = leaf_frames_processed
-        self.leaf_frames_gated = leaf_frames_gated
-        self.gate_evaluations = gate_evaluations
-        self.gate_cache_hits = gate_cache_hits
-        self.streams_retired = streams_retired
-        self.early_exit_frame = early_exit_frame
-        self.frames_deferred = frames_deferred
-        self.partial_deferrals = partial_deferrals
-        self.frames_interpolated = frames_interpolated
-        self.frames_rescanned = frames_rescanned
-        self.leaf_frames_interpolated = leaf_frames_interpolated
-        self.stride_raises = stride_raises
-        self.stride_resets = stride_resets
-        self.peak_stride = peak_stride
-        self.frames_degraded = frames_degraded
-        self.model_retries = model_retries
-        self.model_failures = model_failures
-        self.circuit_opens = circuit_opens
-        self.faults_injected = faults_injected
-        self.checkpoints_taken = checkpoints_taken
-        self.scan_resumes = scan_resumes
+        for name in self._FIELDS:
+            setattr(self, name, values.get(name, getattr(ScanStats, name).default))
 
     def as_dict(self) -> Dict[str, object]:
         return {name: getattr(self, name) for name in self._FIELDS}
@@ -222,6 +169,11 @@ class ScanStats:
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"ScanStats({inner})"
+
+
+ScanStats._FIELDS = tuple(
+    name for name, attr in vars(ScanStats).items() if isinstance(attr, RegistryField)
+)
 
 
 class FrameGate:
@@ -295,7 +247,7 @@ class FrameGate:
         """Run one frame-filter model, through the fault layer when present.
 
         An exhausted/open-circuit filter propagates a
-        :class:`~repro.common.errors.ModelError`; the scheduler fails
+        :class:`~repro.common.errors.TransientModelError`; the scheduler fails
         *closed* (treats the frame as rejected and marks it degraded), so a
         faulty filter can never admit frames the fault-free scan would have
         gated out.
@@ -403,6 +355,23 @@ class StrideCohort:
         self.last_processed: Optional[int] = None
 
 
+@dataclass(frozen=True)
+class Unobserved:
+    """Why a frame's detections do not come from the detector, and how to
+    fill them.
+
+    ``reason`` names the cause: ``stride-gap``, ``frame-corrupted``,
+    ``frame-dropped`` or ``model-unavailable``.  A stride gap carries the
+    sampled ``endpoint`` frame and each tracked pair's ``{track_id: matched
+    detection}`` there, so its seeds interpolate toward the endpoint; every
+    other reason is a fault, whose seeds extrapolate from track history.
+    """
+
+    reason: str
+    endpoint: Optional[int] = None
+    matches: Mapping[TrackedPair, Mapping[int, Detection]] = field(default_factory=dict)
+
+
 class ScanScheduler:
     """Advances a batch of query streams through a shared scan, adaptively.
 
@@ -460,9 +429,6 @@ class ScanScheduler:
         self.lookback = max((s.lookback_frames() for s in self.streams), default=0)
         self._release_cursor = 0
         self._last_frame_id: Optional[int] = None
-        #: Frame id of the last frame whose pipelines actually ran (the
-        #: anchor that stride-sampling predictions extrapolate from).
-        self._last_processed: Optional[int] = None
 
     @property
     def active_streams(self) -> List[QueryStream]:
@@ -483,7 +449,15 @@ class ScanScheduler:
         if self.faults is not None:
             frame_fault = self.faults.frame_fault(frame.frame_id)
             if frame_fault is not None:
-                return self._degrade_frame(frame, f"frame-{frame_fault}")
+                reason = f"frame-{frame_fault}"
+                # The frame's detection payload is never trusted, so it
+                # cannot validate a deferred gap: replay each cohort's gap
+                # in full first, so groupers and trackers see frames in order.
+                for cohort in list(self._cohorts):
+                    if cohort.pending and not self._resolve_gap(cohort, reason):
+                        return False
+                self._run_frame(frame, unobserved=Unobserved(reason))
+                return self._finish_frame(frame)
 
         sampling: Optional[List[StrideCohort]] = None
         verdicts: Optional[Dict[int, bool]] = None
@@ -536,7 +510,7 @@ class ScanScheduler:
                     return False
                 verdicts.update(cohort_verdicts)
 
-        self._process_frame(frame, cohorts=sampling)
+        self._run_frame(frame, cohorts=sampling)
 
         if verdicts is not None and sampling is not None:
             for cohort in sampling:
@@ -557,13 +531,7 @@ class ScanScheduler:
                             )
                         self.obs.metrics.observe("stride_level", controller.stride)
 
-        self._release_through(self._release_horizon(frame.frame_id - self.lookback))
-        if self.early_exit:
-            self._retire_done()
-            if not self._active:
-                self._note_early_exit(frame.frame_id)
-                return False
-        return True
+        return self._finish_frame(frame)
 
     def drain(self) -> None:
         """Resolve any deferred tail and release retained frames.
@@ -575,19 +543,26 @@ class ScanScheduler:
         done.
         """
         for cohort in list(self._cohorts):
-            if cohort.pending and not self._rescan_gap(cohort, reason="scan-ended-mid-gap"):
+            if cohort.pending and not self._resolve_gap(cohort, "scan-ended-mid-gap"):
                 break
         if self._last_frame_id is not None:
             self._release_through(self._last_frame_id)
 
     # -- per-frame processing ----------------------------------------------------
-    def _process_frame(
-        self, frame: Frame, cohorts: Optional[Sequence[StrideCohort]] = None
+    def _run_frame(
+        self,
+        frame: Frame,
+        cohorts: Optional[Sequence[StrideCohort]] = None,
+        unobserved: Optional[Unobserved] = None,
     ) -> None:
         """Run one frame through gate + leaf pipelines + composition layers.
 
         With ``cohorts`` the frame runs only through those cohorts' leaves
         (the other cohorts deferred it); without, through every active leaf.
+        ``unobserved`` says why the detector's view of the frame is not used
+        (see :meth:`_step_leaf`).  Only an observed frame moves the cohorts'
+        stride anchor: trackers did not advance on an unobserved one, so
+        stride validation keeps extrapolating from the last real frame.
         """
         ctx = self.ctx
         if cohorts is None:
@@ -597,17 +572,16 @@ class ScanScheduler:
             leaves = [leaf for cohort in cohorts for leaf in cohort.leaves]
             streams = [stream for cohort in cohorts for stream in cohort.streams]
         frame_start = ctx.clock.snapshot()
-        degraded = 0
+        if unobserved is not None:
+            # A stride gap seeds every validated pair up front; a fault
+            # seeds lazily, per leaf (see _step_leaf).
+            for pair in unobserved.matches:
+                self._seed(frame, pair, unobserved)
+        degraded = False
         ran: Dict[int, PlanStream] = {}
         for leaf in leaves:
-            if self.faults is not None:
-                degraded += self._run_leaf_resilient(leaf, frame, ran)
-            elif self.gate is not None and not self.gate.admits(leaf, frame):
-                leaf.skip_frame(frame)
-                self._note_gated(leaf, frame)
-            else:
-                self._run_leaf(leaf, frame, ran)
-                self.stats.leaf_frames_processed += 1
+            if self._step_leaf(leaf, frame, ran, unobserved):
+                degraded = True
         per_leaf_ms = ctx.clock.since(frame_start) / max(len(leaves), 1)
         for leaf in leaves:
             leaf.result.per_frame_ms.append(per_leaf_ms)
@@ -615,9 +589,9 @@ class ScanScheduler:
             stream.observe_frame(frame.frame_id)
         if degraded:
             self.stats.frames_degraded += 1
-        self._last_processed = frame.frame_id
-        for cohort in self._cohorts if cohorts is None else cohorts:
-            cohort.last_processed = frame.frame_id
+        if unobserved is None:
+            for cohort in self._cohorts if cohorts is None else cohorts:
+                cohort.last_processed = frame.frame_id
 
     def _build_share_groups(self) -> Dict[PlanStream, int]:
         """Group leaves whose plans have equal structural keys.
@@ -663,106 +637,83 @@ class ScanScheduler:
         else:
             leaf.reuse_frame(frame, twin, self.ctx)
 
-    # -- fault degradation --------------------------------------------------------
-    def _run_leaf_resilient(
-        self, leaf: PlanStream, frame: Frame, ran: Dict[int, PlanStream]
-    ) -> int:
-        """Gate + process one leaf, degrading on model faults; 1 if degraded."""
+    def _step_leaf(
+        self,
+        leaf: PlanStream,
+        frame: Frame,
+        ran: Dict[int, PlanStream],
+        unobserved: Optional[Unobserved],
+    ) -> bool:
+        """Gate, run and label one leaf on one frame; True if it degraded.
+
+        On an observed frame a model fault re-runs the leaf as unobserved
+        for ``model-unavailable``: cache hits keep every real result computed
+        before the fault, and seeds fill the rest.  A fault seeds only the
+        leaf's own pairs, lazily: ``seed_frame`` never overwrites a cached
+        result, so seeding every pair up front would let seeds win over real
+        detections a later leaf would have made.  A leaf with no tracked
+        pair has nothing to seed from and skips the frame, as does a re-run
+        that faults again.
+        """
+        if unobserved is not None and unobserved.endpoint is None:
+            pairs = leaf.plan.tracked_detector_pairs()
+            if not pairs:
+                leaf.skip_frame(frame)
+                self._note_degraded(leaf, frame, unobserved.reason, "skipped")
+                return True
+            for pair in pairs:
+                self._seed(frame, pair, unobserved)
         try:
+            # The gate applies on every frame.  Its filters are scene-level
+            # and deterministic, so a rejection matches the fault-free
+            # stride-1 scan: it counts as gated, never as degraded.
             if self.gate is not None and not self.gate.admits(leaf, frame):
                 leaf.skip_frame(frame)
                 self._note_gated(leaf, frame)
-                return 0
+                return False
             self._run_leaf(leaf, frame, ran)
-            self.stats.leaf_frames_processed += 1
-            return 0
-        except ModelError:
-            return 1 if self._degrade_leaf(leaf, frame, "model-unavailable", ran) else 0
-
-    def _degrade_frame(self, frame: Frame, reason: str) -> bool:
-        """Handle a corrupted/dropped frame: fill from interpolation or skip.
-
-        The frame's detection payload is never trusted.  Tracked plans are
-        filled exactly like a stride gap — caches seeded with
-        track-extrapolated detections, ordinary pipelines run over them, the
-        frame labelled in ``Event.skipped_frames`` — untracked plans skip
-        the frame outright.  Mirrors :meth:`step`'s post-processing so
-        release/early-exit bookkeeping stays intact.
-        """
-        for cohort in list(self._cohorts):
-            # A faulty frame cannot validate a deferred gap; replay each
-            # cohort's gap in full first so groupers and trackers see frames
-            # in order.
-            if cohort.pending and not self._rescan_gap(cohort, reason=reason):
-                return False
-        ctx = self.ctx
-        leaves = self._active_leaves
-        frame_start = ctx.clock.snapshot()
-        degraded = 0
-        ran: Dict[int, PlanStream] = {}
-        for leaf in leaves:
-            degraded += 1 if self._degrade_leaf(leaf, frame, reason, ran) else 0
-        per_leaf_ms = ctx.clock.since(frame_start) / max(len(leaves), 1)
-        for leaf in leaves:
-            leaf.result.per_frame_ms.append(per_leaf_ms)
-        for stream in self._active:
-            stream.observe_frame(frame.frame_id)
-        if degraded:
-            self.stats.frames_degraded += 1
-        # Deliberately not updating _last_processed: trackers did not advance
-        # on this frame, so stride validation keeps extrapolating from the
-        # last *real* frame.
-        self._release_through(frame.frame_id - self.lookback)
-        if self.early_exit:
-            self._retire_done()
-            if not self._active:
-                self._note_early_exit(frame.frame_id)
-                return False
-        return True
-
-    def _degrade_leaf(
-        self, leaf: PlanStream, frame: Frame, reason: str, ran: Dict[int, PlanStream]
-    ) -> bool:
-        """Degrade one (leaf, frame): seed interpolated detections and re-run
-        the pipeline over them (cache hits make this idempotent — real
-        results computed before a mid-pipeline fault are never recomputed or
-        overwritten), falling back to skipping the frame when the plan is
-        untracked or the re-run still faults.  Returns True when the leaf's
-        frame was degraded (it always is; the bool keeps call sites uniform).
-        """
-        ctx = self.ctx
-        pairs = leaf.plan.tracked_detector_pairs()
-        mode = "skipped"
-        if pairs:
-            for pair in pairs:
-                tracker_name, detector_name = pair
-                tracker = ctx.peek_tracker(tracker_name, detector_name)
-                interpolated: List[Detection] = []
-                for track in tracker.active_tracks if tracker is not None else []:
-                    if track.last_detection is None:
-                        continue
-                    bbox = track.interpolate(frame.frame_id)
-                    interpolated.append(
-                        replace(track.last_detection, bbox=bbox, frame_id=frame.frame_id)
-                    )
-                ctx.seed_frame(frame.frame_id, detector_name, pair, interpolated)
-            try:
-                if self.gate is not None and not self.gate.admits(leaf, frame):
-                    # The gate's verdict is deterministic and content-free
-                    # (scene-level filter models): a rejection matches the
-                    # fault-free scan, so account it as gated, not degraded.
-                    leaf.skip_frame(frame)
-                    self._note_gated(leaf, frame)
-                    return False
-                self._run_leaf(leaf, frame, ran)
-                leaf.mark_interpolated(frame.frame_id)
-                mode = "interpolated"
-            except ModelError:
-                leaf.skip_frame(frame)
-        else:
+        except TransientModelError:
+            if unobserved is None:
+                return self._step_leaf(leaf, frame, ran, Unobserved("model-unavailable"))
+            # The frame is already seeded, so another re-run would fault too.
+            # A stride gap is no fault of its own: the down model is.
             leaf.skip_frame(frame)
-        self._note_degraded(leaf, frame, reason, mode)
+            reason = "model-unavailable" if unobserved.endpoint is not None else unobserved.reason
+            self._note_degraded(leaf, frame, reason, "skipped")
+            return True
+        if unobserved is None:
+            self.stats.leaf_frames_processed += 1
+            return False
+        leaf.label_unobserved(frame.frame_id)
+        if unobserved.endpoint is not None:
+            self.stats.leaf_frames_interpolated += 1
+            return False
+        self._note_degraded(leaf, frame, unobserved.reason, "interpolated")
         return True
+
+    def _seed(self, frame: Frame, pair: TrackedPair, unobserved: Unobserved) -> None:
+        """Cache one pair's track-interpolated detections on ``frame``.
+
+        A stride gap interpolates each track toward its matched detection on
+        the sampled endpoint; a fault extrapolates from the track's history.
+        The pipelines then run over the seeds without invoking the detector
+        or advancing the tracker.
+        """
+        tracker_name, detector_name = pair
+        tracker = self.ctx.peek_tracker(tracker_name, detector_name)
+        matches = unobserved.matches.get(pair, {})
+        seeded: List[Detection] = []
+        for track in tracker.active_tracks if tracker is not None else []:
+            if track.last_detection is None:
+                continue
+            endpoint = matches.get(track.track_id)
+            bbox = track.interpolate(
+                frame.frame_id,
+                future_bbox=endpoint.bbox if endpoint is not None else None,
+                future_frame_id=unobserved.endpoint if endpoint is not None else None,
+            )
+            seeded.append(replace(track.last_detection, bbox=bbox, frame_id=frame.frame_id))
+        self.ctx.seed_frame(frame.frame_id, detector_name, pair, seeded)
 
     def _note_degraded(self, leaf: PlanStream, frame: Frame, reason: str, mode: str) -> None:
         if self.obs is not None:
@@ -857,25 +808,23 @@ class ScanScheduler:
             ok = True
             for pair in controller.pairs:
                 if pair not in match_maps:
-                    if self.faults is not None:
-                        try:
-                            match_maps[pair] = self._validate_pair(cohort, pair, frame)
-                        except ModelError:
-                            # Probe hit a down model: abstain.  The gap is
-                            # then resolved by re-scan, where each frame
-                            # degrades (or recovers) individually.
-                            match_maps[pair] = None
-                    else:
+                    try:
                         match_maps[pair] = self._validate_pair(cohort, pair, frame)
+                    except TransientModelError:
+                        # Probe hit a down model: abstain.  The gap is then
+                        # resolved by re-scan, where each frame degrades (or
+                        # recovers) individually.
+                        match_maps[pair] = None
                 if match_maps[pair] is None:
                     ok = False
             verdicts[id(stream)] = ok
 
         if cohort.pending:
             if all(verdicts.get(id(s), False) for s in cohort.streams):
-                resolved = self._fill_gap(cohort, frame, match_maps)
+                fill = Unobserved("stride-gap", endpoint=frame.frame_id, matches=match_maps)
+                resolved = self._resolve_gap(cohort, "predictions-validated", fill)
             else:
-                resolved = self._rescan_gap(cohort)
+                resolved = self._resolve_gap(cohort, "validation-failed")
             if not resolved:
                 return None
         return verdicts
@@ -943,110 +892,43 @@ class ScanScheduler:
             matches[track.track_id] = detections[best_idx]
         return matches
 
-    def _fill_gap(
-        self,
-        cohort: StrideCohort,
-        frame: Frame,
-        match_maps: Mapping[TrackedPair, Optional[Dict[int, Detection]]],
+    def _resolve_gap(
+        self, cohort: StrideCohort, reason: str, fill: Optional[Unobserved] = None
     ) -> bool:
-        """Fill the deferred frames from track interpolation (validated path).
+        """Resolve a cohort's deferred frames, oldest first.
 
-        Each gap frame's detector/tracker caches are seeded with detections
-        interpolated between the track's last real detection and its matched
-        detection on the sampled endpoint, then the ordinary pipelines run
-        over them: properties, joins, sinks, and event grouping all see the
-        frame, but no detector or tracker model is invoked and the frame is
-        labelled in ``Event.skipped_frames``.
+        With ``fill`` (predictions validated) each frame runs the ordinary
+        pipelines over track-interpolated seeds: properties, joins, sinks
+        and event grouping all see it, but no detector or tracker model is
+        invoked and the frame is labelled in ``Event.skipped_frames``.
+        Without, each frame is re-scanned in full, in order, *before* the
+        sampled frame's pipelines run, so tracker state sees exactly the
+        update sequence a stride-1 scan would have: results for the gap are
+        identical to never having deferred, and event boundaries stay
+        frame-accurate.
 
-        Returns False when the fill determined every stream's answer (the
-        scan should stop without touching the sampled endpoint's pipelines).
-        """
-        ctx = self.ctx
-        pending, cohort.pending = cohort.pending, []
-        for gap_frame in pending:
-            frame_start = ctx.clock.snapshot()
-            for pair, matches in match_maps.items():
-                if matches is None:  # unreachable on the validated path
-                    continue
-                tracker_name, detector_name = pair
-                tracker = ctx.peek_tracker(tracker_name, detector_name)
-                interpolated: List[Detection] = []
-                for track in tracker.active_tracks if tracker is not None else []:
-                    endpoint = matches.get(track.track_id)
-                    bbox = track.interpolate(
-                        gap_frame.frame_id,
-                        future_bbox=endpoint.bbox if endpoint is not None else None,
-                        future_frame_id=frame.frame_id if endpoint is not None else None,
-                    )
-                    interpolated.append(
-                        replace(track.last_detection, bbox=bbox, frame_id=gap_frame.frame_id)
-                    )
-                ctx.seed_frame(gap_frame.frame_id, detector_name, pair, interpolated)
-            ran: Dict[int, PlanStream] = {}
-            degraded = False
-            for leaf in cohort.leaves:
-                try:
-                    # The gate still applies on filled frames: a stride-1
-                    # scan would have run the (cheap) filters here too, so
-                    # honouring them is budget-neutral and keeps a leaf from
-                    # reporting matches on frames its own filter would have
-                    # rejected.
-                    if self.gate is not None and not self.gate.admits(leaf, gap_frame):
-                        leaf.skip_frame(gap_frame)
-                        self._note_gated(leaf, gap_frame)
-                        continue
-                    self._run_leaf(leaf, gap_frame, ran)
-                except ModelError:
-                    # A filter or property model is down.  The frame is
-                    # already seeded, so a rerun would fault again: skip it,
-                    # as a faulted rerun does in _degrade_leaf.
-                    leaf.skip_frame(gap_frame)
-                    self._note_degraded(leaf, gap_frame, "model-unavailable", "skipped")
-                    degraded = True
-                    continue
-                leaf.mark_interpolated(gap_frame.frame_id)
-                self.stats.leaf_frames_interpolated += 1
-            if degraded:
-                self.stats.frames_degraded += 1
-            per_leaf_ms = ctx.clock.since(frame_start) / max(len(cohort.leaves), 1)
-            for leaf in cohort.leaves:
-                leaf.result.per_frame_ms.append(per_leaf_ms)
-            for stream in cohort.streams:
-                stream.observe_frame(gap_frame.frame_id)
-            self.stats.frames_interpolated += 1
-            if self.obs is not None:
-                self.obs.decisions.record(
-                    "frame-interpolated",
-                    "predictions-validated",
-                    frame_id=gap_frame.frame_id,
-                    endpoint=frame.frame_id,
-                )
-            if not self._check_continue(gap_frame):
-                return False
-        return True
-
-    def _rescan_gap(self, cohort: StrideCohort, reason: str = "validation-failed") -> bool:
-        """Run the full pipeline over a cohort's deferred frames.
-
-        Frames are replayed in order *before* the sampled frame's pipelines
-        run, so tracker state sees exactly the update sequence a stride-1
-        scan would have — results for the gap are therefore identical to
-        never having deferred, and event boundaries stay frame-accurate.
-
-        Returns False when the re-scan determined every stream's answer (a
+        Returns False when the gap determined every stream's answer (a
         stride-1 early-exit scan would have stopped on that frame too).
         """
         pending, cohort.pending = cohort.pending, []
         for gap_frame in pending:
-            self._process_frame(gap_frame, cohorts=[cohort])
-            self.stats.frames_rescanned += 1
+            self._run_frame(gap_frame, cohorts=[cohort], unobserved=fill)
+            if fill is None:
+                self.stats.frames_rescanned += 1
+                action, attrs = "frame-rescanned", {}
+            else:
+                self.stats.frames_interpolated += 1
+                action, attrs = "frame-interpolated", {"endpoint": fill.endpoint}
             if self.obs is not None:
-                self.obs.decisions.record(
-                    "frame-rescanned", reason, frame_id=gap_frame.frame_id
-                )
+                self.obs.decisions.record(action, reason, frame_id=gap_frame.frame_id, **attrs)
             if not self._check_continue(gap_frame):
                 return False
         return True
+
+    def _finish_frame(self, frame: Frame) -> bool:
+        """Release aged-out caches; False once no stream remains active."""
+        self._release_through(self._release_horizon(frame.frame_id - self.lookback))
+        return self._check_continue(frame)
 
     def _check_continue(self, frame: Frame) -> bool:
         """Retire done streams mid-gap; False once no stream remains."""
@@ -1101,10 +983,12 @@ class ScanScheduler:
         Marks the frame skipped for every active leaf so events spanning it
         stay labelled via ``Event.skipped_frames``; groupers are *not*
         advanced (nothing observed the frame), so runs close by gap exactly
-        as if the source had never delivered it.
+        as if the source had never delivered it.  Unlike the frames
+        :meth:`_run_frame` fills, no pipeline runs here by design: running
+        one would advance groupers and change live results.
         """
         for leaf in self._active_leaves:
-            leaf.mark_missing(frame_id)
+            leaf.label_unobserved(frame_id)
 
     # -- internals --------------------------------------------------------------
     def _release_horizon(self, horizon: int) -> int:

@@ -378,29 +378,19 @@ class PlanStream(QueryStream):
 
     def skip_frame(self, frame: Frame) -> None:
         """Account a gate-rejected frame without running the pipeline."""
-        if self._grouper is not None:
-            self._grouper.mark_skipped(frame.frame_id)
+        self.label_unobserved(frame.frame_id)
         self.result.num_frames_processed += 1
 
-    def mark_missing(self, frame_id: int) -> None:
-        """Label a frame the scan never saw at all (live shed / feed outage).
+    def label_unobserved(self, frame_id: int) -> None:
+        """Label a frame the detector never saw.
 
-        Unlike :meth:`skip_frame` the frame is not accounted as processed:
-        no pipeline ran, nothing was charged.  The grouper records it so any
-        event whose range spans the loss stays labelled via
-        ``Event.skipped_frames``; because nothing observes the frame, runs
-        close by gap exactly as if the source had never delivered it.
-        """
-        if self._grouper is not None:
-            self._grouper.mark_skipped(frame_id)
-
-    def mark_interpolated(self, frame_id: int) -> None:
-        """Label a frame whose results came from track interpolation.
-
-        Stride-sampled frames DO run the pipeline (over seeded, interpolated
-        detections) and feed event grouping, but the detector never saw
-        them — so, like gate-skipped frames, they are recorded in
-        ``Event.skipped_frames`` to keep reported ranges honest about what
+        Covers frames whose pipeline ran over track-interpolated seeds
+        (stride gaps, degraded frames) and frames the scan never saw at all
+        (live shed / feed outage: nothing ran, nothing was charged).  It
+        only labels; it never counts the frame as processed.  The grouper
+        records it so any
+        event whose range spans it stays labelled via
+        ``Event.skipped_frames``, keeping reported ranges honest about what
         was actually observed.
         """
         if self._grouper is not None:

@@ -24,12 +24,14 @@ from repro.common.errors import (
     CheckpointError,
     ExecutionError,
     FeedFailedError,
+    ModelError,
     ModelTimeoutError,
     TransientModelError,
 )
 from repro.faults import CircuitBreaker, FaultManager
 from repro.frontend.builtin import Car
 from repro.frontend.higher_order import DurationQuery
+from repro.frontend.properties import stateless
 from repro.frontend.query import Query
 from repro.videosim.entities import ObjectSpec
 from repro.videosim.trajectory import LinearTrajectory
@@ -45,6 +47,23 @@ class RedCarQuery(Query):
 
     def frame_output(self):
         return (self.car.track_id, self.car.bbox)
+
+
+class MisconfiguredCar(Car):
+    @stateless(model="no_such_model", intrinsic=True)
+    def make(self, image):
+        ...
+
+
+class MisconfiguredQuery(Query):
+    def __init__(self):
+        self.car = MisconfiguredCar("car")
+
+    def frame_constraint(self):
+        return (self.car.score > 0.6) & (self.car.make == "sedan")
+
+    def frame_output(self):
+        return (self.car.track_id,)
 
 
 def chaos_video(name: str = "chaos", duration_s: int = 20, seed: int = 3) -> SyntheticVideo:
@@ -165,19 +184,24 @@ CHAOS_WITH_OUTAGE = replace(CHAOS, dead_models=(("yolox", 190),))
 
 
 class TestDegradationAccounting:
-    def test_chaos_scan_completes_and_degrades_honestly(self):
+    @pytest.mark.parametrize("stride", [False, True])
+    def test_chaos_scan_completes_and_degrades_honestly(self, stride):
         """5% transient + 1% corruption + a detector outage from frame 190:
         the scan completes, non-degraded frames are identical to the
         fault-free run, and every degraded frame is accounted in the
-        decision log and ``Event.skipped_frames``."""
+        decision log and ``Event.skipped_frames``.  With stride sampling on,
+        stride fills and fault fills share the scan, and the fault-free run
+        samples with the same stride."""
         query = DurationQuery(RedCarQuery(), duration_s=1.0)
-        base_session, base = run_single(chaos_video(), PlannerConfig(profile_plans=False), query)
-        cfg = ft_config(CHAOS_WITH_OUTAGE, enable_tracing=True)
+        base_cfg = PlannerConfig(profile_plans=False, enable_stride_sampling=stride)
+        base_session, base = run_single(chaos_video(), base_cfg, query)
+        cfg = ft_config(CHAOS_WITH_OUTAGE, enable_tracing=True, enable_stride_sampling=stride)
         session, result = run_single(chaos_video(), cfg, query)
 
         assert result.num_frames_processed == chaos_video().num_frames
 
         stats = session.last_context.scan_stats
+        assert (stats.frames_interpolated > 0) == stride
         degraded = {
             d.frame_id
             for d in session.last_obs.decisions.records(action="frame-degraded")
@@ -201,6 +225,16 @@ class TestDegradationAccounting:
                 if event.start_frame <= frame_id <= event.end_frame:
                     assert frame_id in event.skipped_frames
         assert accounted <= degraded | set(base.matched_frames)
+
+    def test_unknown_model_is_not_hidden_as_a_fault(self):
+        """A misconfigured model name fails the query with fault tolerance
+        on, exactly as with it off: only injected, retryable faults
+        degrade frames."""
+        video = chaos_video(duration_s=3)
+        with pytest.raises(ModelError):
+            run_single(video, PlannerConfig(profile_plans=False), MisconfiguredQuery())
+        with pytest.raises(ModelError):
+            run_single(video, ft_config(FaultConfig(seed=1)), MisconfiguredQuery())
 
     def test_explain_reports_fault_counters(self):
         cfg = ft_config(CHAOS_WITH_OUTAGE, enable_tracing=True)
