@@ -5,11 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.common.values import shared_value
+
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.backend.crosscamera import CrossCameraLinks, GlobalEvent, GlobalTimeline
     from repro.obs.explain import ExplainData
 
 
+@shared_value
 @dataclass(frozen=True)
 class MatchRecord:
     """One matching binding (objects for each query variable) on one frame."""
@@ -33,6 +36,7 @@ class MatchRecord:
         return self.binding
 
 
+@shared_value
 @dataclass(frozen=True)
 class Event:
     """A time interval during which a condition held for a fixed object set."""

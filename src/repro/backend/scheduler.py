@@ -414,11 +414,11 @@ class ScanScheduler:
         #: Leaf -> share group, for leaves with a structural twin in the
         #: batch (see :meth:`_run_leaf`); leaves without one are absent.
         self._share_groups: Dict[PlanStream, int] = self._build_share_groups()
-        self._controllers: Dict[int, StrideController] = {}
+        self._controllers: Dict[QueryStream, StrideController] = {}
         self._cohorts: List[StrideCohort] = []
         if self.stride_cfg is not None:
             self._controllers = {
-                id(s): StrideController(s, self.stride_cfg) for s in self.streams
+                s: StrideController(s, self.stride_cfg) for s in self.streams
             }
             self._cohorts = self._build_cohorts()
         #: Stride floor forced on interpolation-capable cohorts by live-mode
@@ -460,7 +460,7 @@ class ScanScheduler:
                 return self._finish_frame(frame)
 
         sampling: Optional[List[StrideCohort]] = None
-        verdicts: Optional[Dict[int, bool]] = None
+        verdicts: Optional[Dict[QueryStream, bool]] = None
         if self.stride_cfg is not None:
             sampling = []
             deferring: List[Tuple[StrideCohort, int]] = []
@@ -515,9 +515,9 @@ class ScanScheduler:
         if verdicts is not None and sampling is not None:
             for cohort in sampling:
                 for stream in cohort.streams:
-                    controller = self._controllers[id(stream)]
+                    controller = self._controllers[stream]
                     before = controller.stride
-                    controller.observe(verdicts.get(id(stream), False), self.stats)
+                    controller.observe(verdicts.get(stream, False), self.stats)
                     if self.obs is not None:
                         if controller.stride != before:
                             raised = controller.stride > before
@@ -750,7 +750,7 @@ class ScanScheduler:
 
         pair_owner: Dict[TrackedPair, int] = {}
         for idx, stream in enumerate(self.streams):
-            for pair in self._controllers[id(stream)].pairs:
+            for pair in self._controllers[stream].pairs:
                 if pair in pair_owner:
                     union(idx, pair_owner[pair])
                 else:
@@ -769,7 +769,7 @@ class ScanScheduler:
         """The stride every cohort member agrees on (1 disables skipping)."""
         stride: Optional[int] = None
         for stream in cohort.streams:
-            controller = self._controllers[id(stream)]
+            controller = self._controllers[stream]
             if not controller.eligible:
                 # An untracked member pins its own cohort (never the whole
                 # batch) at stride 1: its frames are not reconstructible.
@@ -784,7 +784,7 @@ class ScanScheduler:
 
     def _validate_and_resolve(
         self, cohort: StrideCohort, frame: Frame
-    ) -> Optional[Dict[int, bool]]:
+    ) -> Optional[Dict[QueryStream, bool]]:
         """Validate tracker predictions at a sampled frame; resolve the gap.
 
         Validation runs *before* any pipeline touches the frame, while the
@@ -798,12 +798,12 @@ class ScanScheduler:
         early exit would have), otherwise the per-stream verdicts for the
         cohort's members.
         """
-        verdicts: Dict[int, bool] = {}
+        verdicts: Dict[QueryStream, bool] = {}
         match_maps: Dict[TrackedPair, Optional[Dict[int, Detection]]] = {}
         for stream in cohort.streams:
-            controller = self._controllers[id(stream)]
+            controller = self._controllers[stream]
             if not controller.eligible:
-                verdicts[id(stream)] = False
+                verdicts[stream] = False
                 continue
             ok = True
             for pair in controller.pairs:
@@ -817,10 +817,10 @@ class ScanScheduler:
                         match_maps[pair] = None
                 if match_maps[pair] is None:
                     ok = False
-            verdicts[id(stream)] = ok
+            verdicts[stream] = ok
 
         if cohort.pending:
-            if all(verdicts.get(id(s), False) for s in cohort.streams):
+            if all(verdicts.get(s, False) for s in cohort.streams):
                 fill = Unobserved("stride-gap", endpoint=frame.frame_id, matches=match_maps)
                 resolved = self._resolve_gap(cohort, "predictions-validated", fill)
             else:

@@ -13,7 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.common.values import shared_value
 
+
+@shared_value
 @dataclass(frozen=True)
 class BBox:
     """An axis-aligned bounding box ``(x1, y1)``–``(x2, y2)`` in pixels.

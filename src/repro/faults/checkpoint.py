@@ -10,7 +10,7 @@ track states, per-frame caches), and the :class:`~repro.common.clock.SimClock`
 — so the executor can resume from the last checkpoint instead of rescanning
 from frame 0.
 
-Two invariants make this safe:
+Three invariants make this safe:
 
 * **Shared objects are shared, not copied.**  The capture is a ``deepcopy``
   whose memo pre-maps every object that must keep its identity (the context,
@@ -19,6 +19,15 @@ Two invariants make this safe:
   that is either immutable, externally owned, or deliberately persistent
   across a crash (breaker state, the injector's one-shot crash memory, the
   decision log).
+* **Frozen values are shared, not copied.**  Match records, events,
+  detections, boxes, frames and their ground truth are frozen dataclasses
+  marked :func:`~repro.common.values.shared_value`; they deep-copy as
+  themselves, so the snapshot points at the live instances.  What a capture
+  copies is the mutable state around them: the scheduler, streams, result
+  lists and dicts, groupers, trackers and track states, caches and counters.
+  Capture cost therefore tracks live scan state, not how much the scan has
+  emitted.  A shared value type must stay frozen and hold nothing mutable
+  of its own, or a snapshot would change along with the live scan.
 * **Restore never consumes the snapshot.**  Restoring deepcopies the
   snapshot a second time (same shared memo), so one checkpoint can serve
   several resumes (``max_resumes``) without the resumed scan mutating it.
@@ -132,12 +141,9 @@ class ScanCheckpointer:
         ctx.restore_checkpoint_state(payload["ctx_state"])
         ctx.clock.restore_state(payload["clock_state"])
         ctx.scan_stats = scheduler.stats
-        # Stride controllers are keyed by id(stream); the streams were just
-        # re-materialised, so the key map must be rebuilt over the copies.
-        scheduler._controllers = {
-            id(c.stream): c for c in scheduler._controllers.values()
-        }
-        scheduler.stats.scan_resumes += 1
+        # The snapshot's stats predate every resume: count them all here, or
+        # a second resume from the same checkpoint would drop the first.
+        scheduler.stats.scan_resumes = self.resumes_used
         if scheduler.faults is not None:
             scheduler.faults.stats = scheduler.stats
         if scheduler.obs is not None:

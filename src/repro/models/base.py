@@ -8,8 +8,10 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import ModelError
 from repro.common.geometry import BBox
+from repro.common.values import shared_value
 
 
+@shared_value
 @dataclass(frozen=True)
 class Detection:
     """One detected object on one frame.

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.geometry import BBox
+from repro.common.values import shared_value
 from repro.videosim.trajectory import Trajectory
 
 #: Object classes understood by the simulated detectors.
@@ -86,6 +87,7 @@ class InteractionEvent:
         return self.start_frame <= frame_id <= self.end_frame
 
 
+@shared_value
 @dataclass(frozen=True)
 class GTInstance:
     """The per-frame ground-truth record of one visible object.

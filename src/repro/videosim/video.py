@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.config import VideoSpec
+from repro.common.values import shared_value
 from repro.videosim.entities import GTInstance, InteractionEvent, ObjectSpec
 
 #: Minimum visible area (px^2) for an object to appear in a frame's ground truth.
 MIN_VISIBLE_AREA = 16.0
 
 
+@shared_value
 @dataclass(frozen=True)
 class Frame:
     """One video frame's ground truth."""

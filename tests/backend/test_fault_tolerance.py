@@ -11,15 +11,18 @@ semantics, and scan checkpoint/resume after an injected crash.
 
 from __future__ import annotations
 
+import copy
 import os
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 
 from repro.backend.planner import PlannerConfig
+from repro.backend.results import Event, MatchRecord
 from repro.backend.session import MultiCameraSession, QuerySession
 from repro.common.clock import SimClock
 from repro.common.config import FaultConfig, VideoSpec
+from repro.common.geometry import BBox
 from repro.common.errors import (
     CheckpointError,
     ExecutionError,
@@ -28,14 +31,15 @@ from repro.common.errors import (
     ModelTimeoutError,
     TransientModelError,
 )
-from repro.faults import CircuitBreaker, FaultManager
+from repro.faults import CircuitBreaker, FaultManager, ScanCheckpointer
 from repro.frontend.builtin import Car
 from repro.frontend.higher_order import DurationQuery
 from repro.frontend.properties import stateless
 from repro.frontend.query import Query
-from repro.videosim.entities import ObjectSpec
+from repro.models.base import Detection
+from repro.videosim.entities import GTInstance, ObjectSpec
 from repro.videosim.trajectory import LinearTrajectory
-from repro.videosim.video import SyntheticVideo
+from repro.videosim.video import Frame, SyntheticVideo
 
 
 class RedCarQuery(Query):
@@ -338,6 +342,32 @@ class TestCheckpointResume:
         sig2 = signature(*run_single(chaos_video(), ft_config(fault_config)))
         assert sig1 == sig2
 
+    def test_repeated_resumes_from_one_checkpoint_are_all_counted(self):
+        # Both crashes land before the next checkpoint, so the second resume
+        # restores the same snapshot as the first.  Restoring must neither
+        # forget the first resume nor leak state into the reused snapshot.
+        base_session, base = run_single(
+            chaos_video(), PlannerConfig(profile_plans=False, enable_tracing=True)
+        )
+        fault_config = FaultConfig(
+            seed=CHAOS_SEED,
+            crash_frames=(("chaos", 120), ("chaos", 130)),
+            checkpoint_interval=50,
+            max_resumes=2,
+        )
+        session, result = run_single(
+            chaos_video(), ft_config(fault_config, enable_tracing=True)
+        )
+        assert session.last_context.scan_stats.scan_resumes == 2
+        assert session.last_obs.metrics.counter("scan_resumes") == 2
+        assert result.matched_frames == base.matched_frames
+        assert result.matches == base.matches
+        base_clock = base_session.last_context.clock
+        clock = session.last_context.clock
+        assert clock.elapsed_ms == base_clock.elapsed_ms
+        assert dict(clock.calls) == dict(base_clock.calls)
+        assert dict(clock.by_account) == dict(base_clock.by_account)
+
     def test_crash_without_checkpointing_aborts(self):
         fault_config = FaultConfig(seed=CHAOS_SEED, crash_frames=(("chaos", 120),))
         with pytest.raises(ExecutionError, match="injected scan crash"):
@@ -350,6 +380,61 @@ class TestCheckpointResume:
             ScanCheckpointer(0)
         with pytest.raises(CheckpointError):
             ScanCheckpointer(10).restore()
+
+
+def shared_value_samples():
+    """One instance of every value type a checkpoint shares with the live scan."""
+    box = BBox(10.0, 20.0, 110.0, 70.0)
+    gt = GTInstance(1, "car", box, 0, {"color": "red"}, (0.8, 0.0))
+    return [
+        box,
+        Detection("car", box, 0.9, 0, gt_object_id=1, track_id=3),
+        MatchRecord(0, (("car", 3),), outputs=(3, box)),
+        Event(0, 4, (("car", 3),), skipped_frames=(2,)),
+        gt,
+        Frame(0, 0.0, 640, 480, (gt,)),
+    ]
+
+
+class TestSnapshotSharing:
+    @pytest.mark.parametrize("value", shared_value_samples(), ids=lambda v: type(v).__name__)
+    def test_shared_value_types_are_frozen_and_deep_copy_as_themselves(self, value):
+        assert is_dataclass(value) and type(value).__dataclass_params__.frozen
+        assert copy.deepcopy(value) is value
+
+    def test_snapshot_shares_records_and_copies_mutable_state(self, monkeypatch):
+        captured = []
+        real_capture = ScanCheckpointer.capture
+
+        def spy(self, scheduler, next_frame):
+            real_capture(self, scheduler, next_frame)
+            captured.append((self, scheduler))
+
+        monkeypatch.setattr(ScanCheckpointer, "capture", spy)
+        fault_config = replace(CHAOS, checkpoint_interval=50)
+        query = DurationQuery(RedCarQuery(), duration_s=1.0)
+        session, result = run_single(chaos_video(), ft_config(fault_config), query)
+        assert len(captured) >= 2 and result.matched_frames
+        checkpointer, live = captured[-1]
+        payload = checkpointer._checkpoint.payload
+        snap = payload["scheduler"]
+        assert snap.ctx is live.ctx
+        shared = 0
+        for snap_leaf, live_leaf in zip(snap._active_leaves, live._active_leaves):
+            assert snap_leaf is not live_leaf
+            assert snap_leaf.result is not live_leaf.result
+            assert snap_leaf._grouper is not None
+            assert snap_leaf._grouper is not live_leaf._grouper
+            for frame_id, records in snap_leaf.result.matches.items():
+                live_records = live_leaf.result.matches[frame_id]
+                assert records is not live_records
+                assert all(a is b for a, b in zip(records, live_records, strict=True))
+                shared += len(records)
+        assert shared > 0
+        snap_trackers = payload["ctx_state"]["_trackers"]
+        assert snap_trackers
+        for key, tracker in snap_trackers.items():
+            assert tracker is not live.ctx._trackers[key]
 
 
 class TestResilienceUnits:
