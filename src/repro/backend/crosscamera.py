@@ -45,6 +45,7 @@ from repro.common.errors import ExecutionError
 from repro.metrics.accuracy import PrecisionRecall
 from repro.models.base import Detection
 from repro.models.properties import FeatureVectorModel
+from repro.obs.core import DISABLED, Obs
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ class ReidMatcher:
         self,
         config: Optional[ReidConfig] = None,
         clock: Optional[SimClock] = None,
-        obs=None,
+        obs: Obs = DISABLED,
     ) -> None:
         self.config = config or ReidConfig(enabled=True)
         self.clock = clock
@@ -221,10 +222,9 @@ class ReidMatcher:
                 sims = FeatureVectorModel.similarity_matrix(
                     [p.embedding for p in profiles], centroids
                 )
-                if self.obs is not None:
-                    # Pre-mask similarities disambiguate *why* a track went
-                    # unmatched (class mismatch vs genuinely below threshold).
-                    raw = sims.copy()
+                # Pre-mask similarities disambiguate *why* a track went
+                # unmatched (class mismatch vs genuinely below threshold).
+                raw = sims.copy()
                 # An identity only ever holds one object class; mismatched
                 # classes are pushed below any admissible threshold.
                 for i, profile in enumerate(profiles):
@@ -239,8 +239,7 @@ class ReidMatcher:
             for i, profile in enumerate(profiles):
                 j = matched.get(i)
                 if j is None:
-                    if self.obs is not None:
-                        self._note_unmatched(profile, i, sims, raw)
+                    self._note_unmatched(profile, i, sims, raw)
                     gid = len(centroids)
                     centroids.append(profile.embedding)
                     sums.append(np.asarray(profile.embedding, dtype=float).copy())
@@ -573,7 +572,7 @@ def build_track_profiles(
     config: ReidConfig,
     model,
     clock: Optional[SimClock] = None,
-    obs=None,
+    obs: Obs = DISABLED,
 ) -> List[TrackProfile]:
     """Profile every track of one finished execution context.
 
@@ -595,7 +594,7 @@ def build_track_profiles(
         config.embedding_property, exclude_frames=ctx.seeded_frames
     )
     seeded_only: set = set()
-    if obs is not None and ctx.seeded_frames:
+    if obs.enabled and ctx.seeded_frames:
         # Tracks whose only cached intrinsic was computed on an
         # interpolation-seeded frame: the cache is bypassed and the real
         # source re-embedded — worth a decision record.
@@ -606,14 +605,13 @@ def build_track_profiles(
     misses: List[Detection] = []
     for track_id in sorted(sources):
         if track_id in ambiguous:
-            if obs is not None:
-                obs.decisions.record(
-                    "reid-excluded",
-                    "ambiguous-track-id",
-                    subject=f"{camera}:{track_id}",
-                    camera=camera,
-                    track_id=track_id,
-                )
+            obs.decisions.record(
+                "reid-excluded",
+                "ambiguous-track-id",
+                subject=f"{camera}:{track_id}",
+                camera=camera,
+                track_id=track_id,
+            )
             continue
         detection = sources[track_id]
         first = ctx.track_first_seen(track_id)
@@ -621,22 +619,21 @@ def build_track_profiles(
             first = detection.frame_id
         observed = detection.frame_id - first + 1
         if observed < config.min_track_frames:
-            if obs is not None:
-                obs.decisions.record(
-                    "reid-excluded",
-                    "below-min-track-frames",
-                    subject=f"{camera}:{track_id}",
-                    camera=camera,
-                    track_id=track_id,
-                    observed=observed,
-                    required=config.min_track_frames,
-                )
+            obs.decisions.record(
+                "reid-excluded",
+                "below-min-track-frames",
+                subject=f"{camera}:{track_id}",
+                camera=camera,
+                track_id=track_id,
+                observed=observed,
+                required=config.min_track_frames,
+            )
             continue
         kept.append((track_id, detection, first))
         if track_id in cached:
             ctx.count_reuse(config.embedding_property)
         else:
-            if obs is not None and track_id in seeded_only:
+            if track_id in seeded_only:
                 obs.decisions.record(
                     "reid-embedding-recomputed",
                     "seeded-frame-provenance",

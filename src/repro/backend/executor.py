@@ -47,6 +47,7 @@ from repro.faults import FaultManager, ScanCheckpointer
 from repro.frontend.expr import Environment, MISSING, TRUE
 from repro.frontend.higher_order import DurationQuery, TemporalQuery
 from repro.frontend.query import Query
+from repro.obs.core import DISABLED, Obs
 from repro.videosim.video import SyntheticVideo, VideoReader
 
 
@@ -63,7 +64,7 @@ class Executor:
         video: SyntheticVideo,
         planner: Planner,
         ensure_events: bool = False,
-        obs: Optional[Any] = None,
+        obs: Obs = DISABLED,
     ) -> QueryStream:
         """Compile any query (including higher-order compositions) to a stream.
 
@@ -138,7 +139,7 @@ class Executor:
         streams: Sequence[QueryStream],
         video: SyntheticVideo,
         ctx: ExecutionContext,
-        obs: Optional[Any] = None,
+        obs: Obs = DISABLED,
         candidate_reports: Optional[Dict[str, List[Any]]] = None,
     ) -> List[QueryResult]:
         """Advance all streams through one adaptive scan, then finalize."""
@@ -155,18 +156,14 @@ class Executor:
             faults=faults,
         )
         ctx.scan_stats = scheduler.stats
-        if obs is not None:
-            ctx.obs = obs
+        ctx.obs = obs
         if faults is not None:
             faults.stats = scheduler.stats
         start_snapshot = ctx.clock.snapshot()
 
-        if obs is not None:
-            with obs.tracer.span(
-                "scan", clock=ctx.clock, video=video.spec.name, streams=len(streams)
-            ):
-                scheduler = self._scan(video, scheduler, ctx, faults, checkpointer)
-        else:
+        with obs.tracer.span(
+            "scan", clock=ctx.clock, video=video.spec.name, streams=len(streams)
+        ):
             scheduler = self._scan(video, scheduler, ctx, faults, checkpointer)
 
         # A checkpoint resume replaces the scheduler (and with it the stream
@@ -181,17 +178,17 @@ class Executor:
             self._finalize_aggregates(leaf.plan.analysis, leaf.result, video)
         results = [stream.finalize(video, ctx) for stream in streams]
         if ctx.index is not None:
-            # Post-scan index finalization: track summaries and observed
-            # per-video statistics (stable fraction only when stride
-            # sampling actually measured it).
+            # Post-scan index finalization: observed per-video statistics
+            # (stable fraction only when stride sampling actually measured
+            # it).
             ctx.index.finalize(
                 ctx, observe_stability=self.config.enable_stride_sampling
             )
-        if obs is not None:
+        if obs.enabled:
             self._attach_explain(results, scheduler, ctx, obs, candidate_reports or {})
         return results
 
-    def _build_fault_layer(self, video: SyntheticVideo, ctx: ExecutionContext, obs: Optional[Any]):
+    def _build_fault_layer(self, video: SyntheticVideo, ctx: ExecutionContext, obs: Obs):
         """The feed's fault manager + checkpointer, or ``(None, None)``.
 
         Built per scan so breaker/injector state never leaks across videos
@@ -306,7 +303,7 @@ class Executor:
         ctx: ExecutionContext,
         planner: Planner,
         ensure_events: bool = False,
-        obs: Optional[Any] = None,
+        obs: Obs = DISABLED,
     ) -> List[QueryResult]:
         """Execute a mixed batch of queries in exactly one video scan."""
         # Let the planner's cost model see the whole batch: frame filters

@@ -257,8 +257,8 @@ class LiveSession:
         queries = list(queries)
         if not queries:
             raise ExecutionError("a live session needs at least one standing query")
-        obs = Obs.from_config(self.config.obs()) if self.config.enable_tracing else None
-        self.last_obs = obs
+        obs = Obs.from_config(self.config.obs())
+        self.last_obs = obs if obs.enabled else None
         ctx = ExecutionContext(
             self.video, self.zoo, clock=self.clock, reuse_enabled=self.config.enable_reuse
         )
@@ -285,25 +285,21 @@ class LiveSession:
             faults=faults,
         )
         ctx.scan_stats = scheduler.stats
-        if obs is not None:
-            ctx.obs = obs
+        ctx.obs = obs
         if faults is not None:
             faults.stats = scheduler.stats
         self._scheduler = scheduler
 
-        if obs is not None:
-            with obs.tracer.span(
-                "live-session", clock=self.clock, feed=self.feed.feed,
-                queries=len(queries),
-            ):
-                self._loop(scheduler, faults, obs)
-        else:
+        with obs.tracer.span(
+            "live-session", clock=self.clock, feed=self.feed.feed,
+            queries=len(queries),
+        ):
             self._loop(scheduler, faults, obs)
-        self._shutdown(scheduler, obs)
+        self._shutdown(scheduler)
         return self.stats
 
     # -- main loop ---------------------------------------------------------------
-    def _loop(self, scheduler: ScanScheduler, faults: Optional[FaultManager], obs) -> None:
+    def _loop(self, scheduler: ScanScheduler, faults: Optional[FaultManager], obs: Obs) -> None:
         decode_ms = VideoReader.DECODE_MS_PER_MEGAPIXEL * self.video.spec.megapixels
         while True:
             now = self.clock.elapsed_ms
@@ -315,10 +311,9 @@ class LiveSession:
                 self.stats.frames_delivered += 1
                 if delivery.duplicate:
                     self.stats.duplicates_delivered += 1
-                if obs is not None:
-                    obs.metrics.observe(
-                        "live_lag_ms", now - delivery.capture_ms, feed=self.feed.feed
-                    )
+                obs.metrics.observe(
+                    "live_lag_ms", now - delivery.capture_ms, feed=self.feed.feed
+                )
                 self._admit(frame, delivery.duplicate, scheduler, obs)
             self._release_in_order(obs)
             # Accuracy first, frames last: widen the stride floor the moment
@@ -327,13 +322,13 @@ class LiveSession:
             self._update_pressure(scheduler, obs)
             self._shed_over_cap(scheduler, obs)
             if self._queue:
-                self._dispatch(scheduler, faults, obs)
+                self._dispatch(scheduler, faults)
                 continue
             if not self._idle(scheduler, obs):
                 return
 
     # -- ingest ------------------------------------------------------------------
-    def _admit(self, frame: Frame, duplicate: bool, scheduler: ScanScheduler, obs) -> None:
+    def _admit(self, frame: Frame, duplicate: bool, scheduler: ScanScheduler, obs: Obs) -> None:
         """Route one arrival: late-drop behind the watermark, else buffer."""
         fid = frame.frame_id
         if fid < self._next_expected:
@@ -343,31 +338,29 @@ class LiveSession:
             return
         if fid < self._highest_arrived:
             self.stats.frames_reordered += 1
-            if obs is not None:
-                obs.metrics.inc("frames_reordered", feed=self.feed.feed)
-                obs.decisions.record(
-                    "frame-reordered", "out-of-order-arrival", frame_id=fid,
-                    behind=self._highest_arrived,
-                )
+            obs.metrics.inc("frames_reordered", feed=self.feed.feed)
+            obs.decisions.record(
+                "frame-reordered", "out-of-order-arrival", frame_id=fid,
+                behind=self._highest_arrived,
+            )
         self._highest_arrived = max(self._highest_arrived, fid)
         insort(self._reorder, _SequencedFrame(frame, duplicate))
 
-    def _drop_late(self, fid: int, duplicate: bool, scheduler: ScanScheduler, obs) -> None:
+    def _drop_late(self, fid: int, duplicate: bool, scheduler: ScanScheduler, obs: Obs) -> None:
         self.stats.frames_late_dropped += 1
         if not duplicate:
             # The original copy: it was never sequenced, so the scan will
             # never step it — label the gap into event provenance.
             scheduler.note_missing_frame(fid)
-        if obs is not None:
-            obs.metrics.inc("frames_late_dropped", feed=self.feed.feed)
-            obs.decisions.record(
-                "late-frame-dropped",
-                "duplicate-delivery" if duplicate else "behind-watermark",
-                frame_id=fid,
-                watermark=self._next_expected - 1,
-            )
+        obs.metrics.inc("frames_late_dropped", feed=self.feed.feed)
+        obs.decisions.record(
+            "late-frame-dropped",
+            "duplicate-delivery" if duplicate else "behind-watermark",
+            frame_id=fid,
+            watermark=self._next_expected - 1,
+        )
 
-    def _release_in_order(self, obs) -> None:
+    def _release_in_order(self, obs: Obs) -> None:
         """Move contiguous (or timed-out) reorder-buffer frames to the queue."""
         window = self.live.reorder_window
         while self._reorder:
@@ -395,7 +388,7 @@ class LiveSession:
     def _buffered(self) -> int:
         return len(self._queue) + len(self._reorder)
 
-    def _shed_over_cap(self, scheduler: ScanScheduler, obs) -> None:
+    def _shed_over_cap(self, scheduler: ScanScheduler, obs: Obs) -> None:
         """Hard cap: drop the oldest buffered frames past ``max_buffered_frames``."""
         cap = self.live.max_buffered_frames
         while self._buffered() > cap:
@@ -408,31 +401,28 @@ class LiveSession:
             self.stats.frames_shed += 1
             if not victim.duplicate:
                 scheduler.note_missing_frame(fid)
-            if obs is not None:
-                obs.metrics.inc("frames_shed", feed=self.feed.feed)
-                obs.decisions.record(
-                    "frame-shed", "queue-over-cap", frame_id=fid,
-                    buffered=self._buffered() + 1, cap=cap,
-                )
+            obs.metrics.inc("frames_shed", feed=self.feed.feed)
+            obs.decisions.record(
+                "frame-shed", "queue-over-cap", frame_id=fid,
+                buffered=self._buffered() + 1, cap=cap,
+            )
         depth = self._buffered()
         self.stats.peak_buffered = max(self.stats.peak_buffered, depth)
-        if obs is not None:
-            obs.metrics.observe("live_queue_depth", depth, feed=self.feed.feed)
+        obs.metrics.observe("live_queue_depth", depth, feed=self.feed.feed)
 
-    def _update_pressure(self, scheduler: ScanScheduler, obs) -> None:
+    def _update_pressure(self, scheduler: ScanScheduler, obs: Obs) -> None:
         """Shed accuracy before frames: widen the stride floor under load."""
         cap = self.live.max_buffered_frames
         frac = self._buffered() / cap
         if frac >= self.live.pressure_high and self._pressure < self.live.max_pressure_stride:
             new = min(max(2, self._pressure * 2), self.live.max_pressure_stride)
             if scheduler.set_pressure_stride(new):
-                if obs is not None:
-                    obs.decisions.record(
-                        "pressure-stride-raised", "queue-pressure",
-                        frame_id=self._next_expected,
-                        stride_from=self._pressure, stride_to=new,
-                        queue_depth=self._buffered(),
-                    )
+                obs.decisions.record(
+                    "pressure-stride-raised", "queue-pressure",
+                    frame_id=self._next_expected,
+                    stride_from=self._pressure, stride_to=new,
+                    queue_depth=self._buffered(),
+                )
                 self._pressure = new
                 self.stats.pressure_raises += 1
                 self.stats.peak_pressure_stride = max(
@@ -444,7 +434,7 @@ class LiveSession:
                 self._pressure = new
 
     # -- dispatch ----------------------------------------------------------------
-    def _dispatch(self, scheduler: ScanScheduler, faults: Optional[FaultManager], obs) -> None:
+    def _dispatch(self, scheduler: ScanScheduler, faults: Optional[FaultManager]) -> None:
         entry = self._queue.popleft()
         frame = entry.frame
         self.stats.frames_processed += 1
@@ -452,13 +442,13 @@ class LiveSession:
         if faults is not None:
             frame = faults.reader_hook(frame)
         scheduler.step(frame)
-        self._emit_alerts(obs)
+        self._emit_alerts()
         if self._dispatched - self._last_prune >= self.live.prune_interval_frames:
             for stream in self._streams:
                 stream.prune_live(self._dispatched)
             self._last_prune = self._dispatched
 
-    def _emit_alerts(self, obs) -> None:
+    def _emit_alerts(self) -> None:
         now = self.clock.elapsed_ms
         for stream in self._streams:
             for event in stream.drain_events():
@@ -470,7 +460,7 @@ class LiveSession:
             sink.emit(alert)
 
     # -- idle / watchdog ---------------------------------------------------------
-    def _idle(self, scheduler: ScanScheduler, obs) -> bool:
+    def _idle(self, scheduler: ScanScheduler, obs: Obs) -> bool:
         """Nothing to dispatch: wait for the feed, or handle its silence.
 
         Returns False when the feed is exhausted and fully drained — the
@@ -506,15 +496,14 @@ class LiveSession:
         self._handle_stall(scheduler, obs)
         return True
 
-    def _handle_stall(self, scheduler: ScanScheduler, obs) -> None:
+    def _handle_stall(self, scheduler: ScanScheduler, obs: Obs) -> None:
         """The watchdog path: silence past the deadline → reconnect or die."""
         now = self.clock.elapsed_ms
         self.stats.stalls += 1
-        if obs is not None:
-            obs.decisions.record(
-                "feed-stalled", "no-arrivals", frame_id=self._dispatched,
-                subject=self.feed.feed, silent_ms=round(now - self._last_arrival_ms, 3),
-            )
+        obs.decisions.record(
+            "feed-stalled", "no-arrivals", frame_id=self._dispatched,
+            subject=self.feed.feed, silent_ms=round(now - self._last_arrival_ms, 3),
+        )
         backoff = self.live.reconnect_backoff_base_ms
         for attempt in range(1, self.live.max_reconnect_attempts + 1):
             self.clock.charge("live-reconnect", backoff)
@@ -529,12 +518,11 @@ class LiveSession:
                 # post-outage frames reach the scan.
                 self._label_outage_losses(scheduler, now, obs)
                 self._last_arrival_ms = now
-                if obs is not None:
-                    obs.metrics.inc("reconnects", feed=self.feed.feed)
-                    obs.decisions.record(
-                        "feed-reconnected", "reconnect-success",
-                        subject=self.feed.feed, attempt=attempt,
-                    )
+                obs.metrics.inc("reconnects", feed=self.feed.feed)
+                obs.decisions.record(
+                    "feed-reconnected", "reconnect-success",
+                    subject=self.feed.feed, attempt=attempt,
+                )
                 return
             self.stats.reconnect_failures += 1
             self._breaker.record_failure(now)
@@ -546,24 +534,23 @@ class LiveSession:
             frame_id=self._dispatched if self._dispatched >= 0 else None,
         )
 
-    def _label_outage_losses(self, scheduler: ScanScheduler, now: float, obs) -> None:
+    def _label_outage_losses(self, scheduler: ScanScheduler, now: float, obs: Obs) -> None:
         for fid in self.feed.lost_before(now):
             scheduler.note_missing_frame(fid)
             self._missing.add(fid)
             self.stats.frames_lost += 1
-            if obs is not None:
-                obs.decisions.record(
-                    "frame-lost", "feed-outage", frame_id=fid, subject=self.feed.feed
-                )
+            obs.decisions.record(
+                "frame-lost", "feed-outage", frame_id=fid, subject=self.feed.feed
+            )
 
     # -- shutdown ----------------------------------------------------------------
-    def _shutdown(self, scheduler: ScanScheduler, obs) -> None:
+    def _shutdown(self, scheduler: ScanScheduler) -> None:
         """Resolve deferred tails, then force-close and emit open runs."""
         if self._closed:
             return
         self._closed = True
         scheduler.drain()
-        self._emit_alerts(obs)
+        self._emit_alerts()
         now = self.clock.elapsed_ms
         for stream in self._streams:
             for event in stream.flush_events():

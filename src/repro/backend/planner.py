@@ -51,6 +51,7 @@ from repro.frontend.expr import Comparison, Literal, Predicate, PropertyRef, con
 from repro.frontend.query import Query
 from repro.frontend.vobj import VObj
 from repro.models.zoo import ModelZoo
+from repro.obs.core import DISABLED, Obs
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ class PlannerConfig:
     max_clock_skew_s: float = 0.5
     #: Engine-wide observability (:mod:`repro.obs`): span tracing with dual
     #: wall-clock/virtual timestamps, a labeled metrics registry, the
-    #: decision log, and ``QueryResult.explain()``.  Off = zero
-    #: instrumentation objects are created and results are byte-identical.
+    #: decision log, and ``QueryResult.explain()``.  Off = every hook goes
+    #: to the shared do-nothing bundle and results are byte-identical.
     enable_tracing: bool = False
     #: Bound on retained decision records when tracing is on (aggregate
     #: counts stay exact past the bound).
@@ -483,14 +484,12 @@ class Planner:
         return candidates
 
     # ------------------------------------------------------------- plan selection --
-    def plan(self, query: Query, video=None, obs=None) -> QueryPlan:
+    def plan(self, query: Query, video=None, obs: Obs = DISABLED) -> QueryPlan:
         """Plan a basic or spatial query, profiling candidates when possible."""
-        if obs is None:
-            return self._plan(query, video, None)
         with obs.tracer.span("plan", query=query.query_name):
             return self._plan(query, video, obs)
 
-    def _plan(self, query: Query, video, obs) -> QueryPlan:
+    def _plan(self, query: Query, video, obs: Obs) -> QueryPlan:
         analysis = analyze_query(query)
         candidates = self.candidate_plans(analysis)
         if len(candidates) == 1 or not self.config.profile_plans or video is None:
@@ -594,7 +593,7 @@ class Planner:
             video_key(video), min_frames=index_cfg.stats_min_frames
         )
 
-    def _profile_and_select(self, candidates: List[QueryPlan], video, obs=None) -> QueryPlan:
+    def _profile_and_select(self, candidates: List[QueryPlan], video, obs: Obs = DISABLED) -> QueryPlan:
         """Profile candidates on the canary clip and pick the cheapest accurate one.
 
         Measured canary cost lands in ``profiled_cost_ms``; the selection
@@ -621,10 +620,7 @@ class Planner:
 
         def run(candidate: QueryPlan):
             ctx = ExecutionContext(canary, self.zoo, reuse_enabled=self.config.enable_reuse)
-            if obs is not None:
-                with obs.tracer.span("profile", clock=ctx.clock, variant=candidate.variant):
-                    result = Executor(profiling_config).execute_plan(candidate, canary, ctx)
-            else:
+            with obs.tracer.span("profile", clock=ctx.clock, variant=candidate.variant):
                 result = Executor(profiling_config).execute_plan(candidate, canary, ctx)
             breakdown = dict(ctx.clock.by_account)
             candidate.profiled_cost_ms = ctx.clock.elapsed_ms

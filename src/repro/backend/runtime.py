@@ -37,6 +37,7 @@ from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
 from repro.models.base import Detection
 from repro.models.zoo import ModelZoo
+from repro.obs.core import DISABLED, Obs
 from repro.videosim.video import Frame, SyntheticVideo
 
 #: Virtual cost charged for evaluating a pure-Python property body.
@@ -350,9 +351,9 @@ class ExecutionContext:
         #: the most recent scan over this context (frames gated, streams
         #: retired, early-exit frame); None before any scan ran.
         self.scan_stats: Optional[Any] = None
-        #: Observability bundle (:class:`repro.obs.Obs`) set by the executor
-        #: when tracing is enabled; None = zero-instrumentation fast path.
-        self.obs: Optional[Any] = None
+        #: Observability bundle (:class:`repro.obs.Obs`) set by the executor;
+        #: the shared disabled bundle unless tracing is on.
+        self.obs: Obs = DISABLED
         #: Fault layer (:class:`repro.faults.FaultManager`) set by the
         #: executor when fault tolerance is enabled; None = every model
         #: invocation runs bare (the default, byte-identical fast path).
@@ -449,18 +450,15 @@ class ExecutionContext:
                 )
 
             obs = self.obs
-            if obs is not None:
-                with obs.tracer.span(
-                    "model-invocation",
-                    clock=self.clock,
-                    model=model_name,
-                    frame=frame.frame_id,
-                    kind="detector",
-                ):
-                    per_frame[model_name] = run()
-                obs.metrics.inc("detector_invocations", model=model_name)
-            else:
+            with obs.tracer.span(
+                "model-invocation",
+                clock=self.clock,
+                model=model_name,
+                frame=frame.frame_id,
+                kind="detector",
+            ):
                 per_frame[model_name] = run()
+            obs.metrics.inc("detector_invocations", model=model_name)
             if index is not None and frame.frame_id not in self.seeded_frames:
                 # Write-through as a side effect of scanning.  Seeded frames
                 # never reach here (their caches are pre-populated), but the
@@ -500,18 +498,15 @@ class ExecutionContext:
                 self._trackers[key] = self.zoo.get(tracker_name, fresh=True)
             tracker = self._trackers[key]
             obs = self.obs
-            if obs is not None:
-                with obs.tracer.span(
-                    "model-invocation",
-                    clock=self.clock,
-                    model=tracker_name,
-                    frame=frame.frame_id,
-                    kind="tracker",
-                ):
-                    tracked = tracker.update(list(detections), self.clock)
-                obs.metrics.inc("tracker_invocations", model=tracker_name)
-            else:
+            with obs.tracer.span(
+                "model-invocation",
+                clock=self.clock,
+                model=tracker_name,
+                frame=frame.frame_id,
+                kind="tracker",
+            ):
                 tracked = tracker.update(list(detections), self.clock)
+            obs.metrics.inc("tracker_invocations", model=tracker_name)
             # The tracker numbers tracks locally from 1; everything past this
             # point (results, signatures, re-id, the persistent index) sees
             # only the namespaced global ids.

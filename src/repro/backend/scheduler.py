@@ -62,7 +62,7 @@ in the operator pipelines and the execution context's shared caches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend.operators import OPERATOR_OVERHEAD_MS
@@ -72,108 +72,76 @@ from repro.common.config import StrideConfig
 from repro.common.errors import TransientModelError
 from repro.models.base import Detection
 from repro.models.framefilters import evaluate_frame_filter
-from repro.obs.metrics import MetricsRegistry, RegistryField
+from repro.obs.core import DISABLED, Obs
 from repro.videosim.video import Frame
 
 #: A (tracker model, detector model) pair, the unit of stride validation.
 TrackedPair = Tuple[str, str]
 
 
+@dataclass(kw_only=True)
 class ScanStats:
     """Counters describing what the scheduler skipped, gated, and retired.
 
-    Every counter lives in a :class:`~repro.obs.metrics.MetricsRegistry` as
-    an unlabeled gauge (the :class:`~repro.obs.metrics.RegistryField`
-    descriptors keep plain ``stats.field += 1`` semantics), so the registry
-    snapshot is the source of truth and :meth:`as_dict` is a compatibility
-    view over it.  The keyword constructor, equality, and the
-    ``as_dict``/``from_dict`` round trip match the former dataclass exactly.
+    Plain attributes, one instance per scan: each feed's scheduler owns its
+    own, and a checkpoint restore rolls it back with the rest of the scan.
     """
 
     #: Frames the scan actually decoded and stepped through.
-    frames_scanned = RegistryField(0)
+    frames_scanned: int = 0
     #: (leaf, frame) pipeline executions on detector-observed frames.
-    leaf_frames_processed = RegistryField(0)
+    leaf_frames_processed: int = 0
     #: (leaf, frame) pairs skipped because the leaf's gate rejected the frame.
-    leaf_frames_gated = RegistryField(0)
+    leaf_frames_gated: int = 0
     #: Frame-filter model invocations performed by the gate.
-    gate_evaluations = RegistryField(0)
+    gate_evaluations: int = 0
     #: Gate decisions served from the per-frame memo instead of re-running
     #: the filter model (the cross-stream sharing the per-plan pipelines lost).
-    gate_cache_hits = RegistryField(0)
+    gate_cache_hits: int = 0
     #: Streams retired before the end of the scan (answer fully determined).
-    streams_retired = RegistryField(0)
+    streams_retired: int = 0
     #: Frame id at which the whole scan stopped early (None = ran to the end).
-    early_exit_frame = RegistryField(None)
+    early_exit_frame: Optional[int] = None
     #: Frames provisionally skipped by the stride sampler (deferred).
-    frames_deferred = RegistryField(0)
+    frames_deferred: int = 0
     #: (cohort, frame) deferrals on frames some *other* cohort still
     #: processed (per-cohort stride scheduling; ``frames_deferred`` counts
     #: only frames every cohort skipped).
-    partial_deferrals = RegistryField(0)
+    partial_deferrals: int = 0
     #: Deferred frames whose results were filled by track interpolation.
-    frames_interpolated = RegistryField(0)
+    frames_interpolated: int = 0
     #: Deferred frames re-scanned in full after a prediction disagreement.
-    frames_rescanned = RegistryField(0)
+    frames_rescanned: int = 0
     #: (leaf, frame) pipeline executions over interpolation-seeded caches.
-    leaf_frames_interpolated = RegistryField(0)
+    leaf_frames_interpolated: int = 0
     #: Times some stream's stride doubled / was reset to 1.
-    stride_raises = RegistryField(0)
-    stride_resets = RegistryField(0)
+    stride_raises: int = 0
+    stride_resets: int = 0
     #: Highest stride any stream reached during the scan.
-    peak_stride = RegistryField(1)
+    peak_stride: int = 1
     #: Frames where at least one leaf could not run its full pipeline due to
     #: an injected fault (corrupted/dropped frame, or a model down past
     #: retries / behind an open circuit) and was filled or skipped instead.
-    frames_degraded = RegistryField(0)
+    frames_degraded: int = 0
     #: Model invocation attempts retried after a transient failure/timeout.
-    model_retries = RegistryField(0)
+    model_retries: int = 0
     #: Invocations that failed for good (retries exhausted or circuit open).
-    model_failures = RegistryField(0)
+    model_failures: int = 0
     #: Times some model's circuit breaker transitioned closed -> open.
-    circuit_opens = RegistryField(0)
+    circuit_opens: int = 0
     #: Faults the injector actually fired during the scan (all kinds).
-    faults_injected = RegistryField(0)
+    faults_injected: int = 0
     #: Scan checkpoints captured / resumes performed from one.
-    checkpoints_taken = RegistryField(0)
-    scan_resumes = RegistryField(0)
-
-    #: Counter names in declaration order (the ``as_dict`` key order); set
-    #: from the descriptors below the class.
-    _FIELDS: Tuple[str, ...]
-
-    def __init__(self, *, registry: Optional[MetricsRegistry] = None, **values: object) -> None:
-        unknown = sorted(set(values) - set(self._FIELDS))
-        if unknown:
-            raise TypeError(f"ScanStats() got unexpected keyword arguments: {unknown}")
-        # One registry per stats object: concurrent feeds each own theirs.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        for name in self._FIELDS:
-            setattr(self, name, values.get(name, getattr(ScanStats, name).default))
+    checkpoints_taken: int = 0
+    scan_resumes: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ScanStats":
         """Rebuild stats from :meth:`as_dict` output (round-trip safe)."""
         return cls(**dict(data))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScanStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
-
-    __hash__ = None  # mutable, like the dataclass it replaced
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"ScanStats({inner})"
-
-
-ScanStats._FIELDS = tuple(
-    name for name, attr in vars(ScanStats).items() if isinstance(attr, RegistryField)
-)
 
 
 class FrameGate:
@@ -187,7 +155,7 @@ class FrameGate:
     matching the in-pipeline semantics for any single plan.
     """
 
-    def __init__(self, ctx: ExecutionContext, stats: ScanStats, obs: Optional[Any] = None) -> None:
+    def __init__(self, ctx: ExecutionContext, stats: ScanStats, obs: Obs = DISABLED) -> None:
         self.ctx = ctx
         self.stats = stats
         self.obs = obs
@@ -219,20 +187,17 @@ class FrameGate:
                         if not cached:
                             return False
                         continue
-                if self.obs is not None:
-                    virt_start = self.ctx.clock.snapshot()
-                    with self.obs.tracer.span(
-                        "frame-gate-eval",
-                        clock=self.ctx.clock,
-                        model=op.model_name,
-                        frame=frame.frame_id,
-                    ):
-                        decision = self._evaluate(op.model_name, frame)
-                    self.obs.metrics.observe(
-                        "gate_eval_ms", self.ctx.clock.since(virt_start), model=op.model_name
-                    )
-                else:
+                virt_start = self.ctx.clock.snapshot()
+                with self.obs.tracer.span(
+                    "frame-gate-eval",
+                    clock=self.ctx.clock,
+                    model=op.model_name,
+                    frame=frame.frame_id,
+                ):
                     decision = self._evaluate(op.model_name, frame)
+                self.obs.metrics.observe(
+                    "gate_eval_ms", self.ctx.clock.since(virt_start), model=op.model_name
+                )
                 per_frame[op.model_name] = decision
                 self.stats.gate_evaluations += 1
                 if index is not None:
@@ -394,7 +359,7 @@ class ScanScheduler:
         gating: bool = True,
         early_exit: bool = True,
         stride: Optional[StrideConfig] = None,
-        obs: Optional[Any] = None,
+        obs: Obs = DISABLED,
         faults: Optional[Any] = None,
     ) -> None:
         self.streams = list(streams)
@@ -477,13 +442,12 @@ class ScanScheduler:
                 for cohort, _ in deferring:
                     cohort.pending.append(frame)
                 self.stats.frames_deferred += 1
-                if self.obs is not None:
-                    self.obs.decisions.record(
-                        "frame-deferred",
-                        "stride-skip",
-                        frame_id=frame.frame_id,
-                        stride=min(s for _, s in deferring),
-                    )
+                self.obs.decisions.record(
+                    "frame-deferred",
+                    "stride-skip",
+                    frame_id=frame.frame_id,
+                    stride=min(s for _, s in deferring),
+                )
                 self._release_through(self._release_horizon(frame.frame_id - self.lookback))
                 return True
             for cohort, stride in deferring:
@@ -492,14 +456,13 @@ class ScanScheduler:
                 # gap resolution while the sampling cohorts process it now.
                 cohort.pending.append(frame)
                 self.stats.partial_deferrals += 1
-                if self.obs is not None:
-                    self.obs.decisions.record(
-                        "frame-deferred",
-                        "stride-skip",
-                        frame_id=frame.frame_id,
-                        stride=stride,
-                        subject=_stream_query_name(cohort.streams[0]),
-                    )
+                self.obs.decisions.record(
+                    "frame-deferred",
+                    "stride-skip",
+                    frame_id=frame.frame_id,
+                    stride=stride,
+                    subject=_stream_query_name(cohort.streams[0]),
+                )
             verdicts = {}
             for cohort in sampling:
                 cohort_verdicts = self._validate_and_resolve(cohort, frame)
@@ -518,18 +481,17 @@ class ScanScheduler:
                     controller = self._controllers[stream]
                     before = controller.stride
                     controller.observe(verdicts.get(stream, False), self.stats)
-                    if self.obs is not None:
-                        if controller.stride != before:
-                            raised = controller.stride > before
-                            self.obs.decisions.record(
-                                "stride-raised" if raised else "stride-reset",
-                                "stable-streak" if raised else "prediction-mismatch",
-                                frame_id=frame.frame_id,
-                                subject=_stream_query_name(stream),
-                                stride_from=before,
-                                stride_to=controller.stride,
-                            )
-                        self.obs.metrics.observe("stride_level", controller.stride)
+                    if controller.stride != before:
+                        raised = controller.stride > before
+                        self.obs.decisions.record(
+                            "stride-raised" if raised else "stride-reset",
+                            "stable-streak" if raised else "prediction-mismatch",
+                            frame_id=frame.frame_id,
+                            subject=_stream_query_name(stream),
+                            stride_from=before,
+                            stride_to=controller.stride,
+                        )
+                    self.obs.metrics.observe("stride_level", controller.stride)
 
         return self._finish_frame(frame)
 
@@ -596,8 +558,8 @@ class ScanScheduler:
     def _build_share_groups(self) -> Dict[PlanStream, int]:
         """Group leaves whose plans have equal structural keys.
 
-        Only groups of two or more are kept.  With tracing on, each twin
-        gets one ``leaf-shared`` decision naming the group's first leaf.
+        Only groups of two or more are kept.  Each twin gets one
+        ``leaf-shared`` decision naming the group's first leaf.
         """
         by_key: Dict[Any, List[PlanStream]] = {}
         for leaf in self._active_leaves:
@@ -609,14 +571,13 @@ class ScanScheduler:
         for group, members in enumerate(twins):
             for leaf in members:
                 groups[leaf] = group
-            if self.obs is not None:
-                for twin in members[1:]:
-                    self.obs.decisions.record(
-                        "leaf-shared",
-                        "identical-plan",
-                        subject=twin.query_name,
-                        primary=members[0].query_name,
-                    )
+            for twin in members[1:]:
+                self.obs.decisions.record(
+                    "leaf-shared",
+                    "identical-plan",
+                    subject=twin.query_name,
+                    primary=members[0].query_name,
+                )
         return groups
 
     def _run_leaf(self, leaf: PlanStream, frame: Frame, ran: Dict[int, PlanStream]) -> None:
@@ -716,15 +677,14 @@ class ScanScheduler:
         self.ctx.seed_frame(frame.frame_id, detector_name, pair, seeded)
 
     def _note_degraded(self, leaf: PlanStream, frame: Frame, reason: str, mode: str) -> None:
-        if self.obs is not None:
-            self.obs.decisions.record(
-                "frame-degraded",
-                reason,
-                frame_id=frame.frame_id,
-                subject=leaf.query_name,
-                mode=mode,
-            )
-            self.obs.metrics.inc("frames_degraded", mode=mode)
+        self.obs.decisions.record(
+            "frame-degraded",
+            reason,
+            frame_id=frame.frame_id,
+            subject=leaf.query_name,
+            mode=mode,
+        )
+        self.obs.metrics.inc("frames_degraded", mode=mode)
 
     # -- stride sampling ----------------------------------------------------------
     def _build_cohorts(self) -> List[StrideCohort]:
@@ -919,8 +879,7 @@ class ScanScheduler:
             else:
                 self.stats.frames_interpolated += 1
                 action, attrs = "frame-interpolated", {"endpoint": fill.endpoint}
-            if self.obs is not None:
-                self.obs.decisions.record(action, reason, frame_id=gap_frame.frame_id, **attrs)
+            self.obs.decisions.record(action, reason, frame_id=gap_frame.frame_id, **attrs)
             if not self._check_continue(gap_frame):
                 return False
         return True
@@ -940,26 +899,21 @@ class ScanScheduler:
             return False
         return True
 
-    # -- decision-log hooks (tracing mode only; counters always update) ----------
+    # -- accounting hooks ---------------------------------------------------------
     def _note_gated(self, leaf: PlanStream, frame: Frame) -> None:
-        """Count a gated (leaf, frame) pair; log why when tracing."""
+        """Count a gated (leaf, frame) pair and log which filter rejected it."""
         self.stats.leaf_frames_gated += 1
-        if self.obs is not None:
-            model = self.gate.rejecting_model(leaf, frame.frame_id) if self.gate else None
-            self.obs.decisions.record(
-                "frame-gated",
-                "frame-filter-rejected",
-                frame_id=frame.frame_id,
-                subject=leaf.query_name,
-                model=model,
-            )
+        self.obs.decisions.record(
+            "frame-gated",
+            "frame-filter-rejected",
+            frame_id=frame.frame_id,
+            subject=leaf.query_name,
+            model=self.gate.rejecting_model(leaf, frame.frame_id),
+        )
 
     def _note_early_exit(self, frame_id: int) -> None:
         self.stats.early_exit_frame = frame_id
-        if self.obs is not None:
-            self.obs.decisions.record(
-                "scan-early-exit", "all-streams-done", frame_id=frame_id
-            )
+        self.obs.decisions.record("scan-early-exit", "all-streams-done", frame_id=frame_id)
 
     # -- live-mode hooks ----------------------------------------------------------
     def set_pressure_stride(self, stride: int) -> bool:
@@ -1010,16 +964,15 @@ class ScanScheduler:
         still_active = [s for s in self._active if not s.done()]
         if len(still_active) != len(self._active):
             self.stats.streams_retired += len(self._active) - len(still_active)
-            if self.obs is not None:
-                remaining = {id(s) for s in still_active}
-                for stream in self._active:
-                    if id(stream) not in remaining:
-                        self.obs.decisions.record(
-                            "stream-retired",
-                            "answer-determined",
-                            frame_id=self._last_frame_id,
-                            subject=_stream_query_name(stream),
-                        )
+            remaining = {id(s) for s in still_active}
+            for stream in self._active:
+                if id(stream) not in remaining:
+                    self.obs.decisions.record(
+                        "stream-retired",
+                        "answer-determined",
+                        frame_id=self._last_frame_id,
+                        subject=_stream_query_name(stream),
+                    )
             self._active = still_active
             self._active_leaves = [
                 leaf for stream in still_active for leaf in stream.plan_streams()

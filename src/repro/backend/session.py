@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.backend.crosscamera import (
@@ -50,7 +51,7 @@ from repro.frontend.query import Query
 from repro.frontend.registry import get_library_zoo
 from repro.index.store import VideoIndexStore
 from repro.models.zoo import ModelZoo
-from repro.obs.core import Obs
+from repro.obs.core import DISABLED, Obs
 from repro.obs.trace import Tracer
 from repro.videosim.video import SyntheticVideo
 
@@ -137,24 +138,22 @@ class QuerySession:
         across its feeds; standalone runs build their own when
         ``enable_tracing`` is on.
         """
-        own_obs = False
-        if obs is None and self.config.enable_tracing:
+        own_obs = obs is None
+        if own_obs:
             obs = Obs.from_config(self.config.obs())
-            own_obs = obs is not None
-        self.last_obs = obs
+        self.last_obs = obs if obs.enabled else None
         ctx = self._new_context(clock)
         if self.index_store is not None:
             ctx.index = self.index_store.view(self.video, self.zoo, obs=obs)
         self.last_context = ctx
         self.last_multi = None
         queries = list(queries)
-        if own_obs:
-            with obs.tracer.span("execute-batch", clock=ctx.clock, queries=len(queries)):
-                results = self.executor.execute_queries(
-                    queries, self.video, ctx, self.planner,
-                    ensure_events=ensure_events, obs=obs,
+        with ExitStack() as scope:
+            if own_obs:
+                # A shared bundle's batch root is the multi-camera session's.
+                scope.enter_context(
+                    obs.tracer.span("execute-batch", clock=ctx.clock, queries=len(queries))
                 )
-        else:
             results = self.executor.execute_queries(
                 queries, self.video, ctx, self.planner, ensure_events=ensure_events, obs=obs
             )
@@ -347,16 +346,14 @@ class MultiCameraSession:
         """
         queries = list(queries)
         reid_enabled = self.config.enable_cross_camera_reid
-        obs = Obs.from_config(self.config.obs()) if self.config.enable_tracing else None
-        self.last_obs = obs
-        if obs is not None:
-            # The batch root is wall-clock only: there is no single virtual
-            # clock spanning the feeds (each feed owns its own SimClock).
-            with obs.tracer.span(
-                "execute-batch", feeds=len(self.sessions), queries=len(queries)
-            ) as root:
-                return self._execute_batch(queries, reid_enabled, obs, root)
-        return self._execute_batch(queries, reid_enabled, None, None)
+        obs = Obs.from_config(self.config.obs())
+        self.last_obs = obs if obs.enabled else None
+        # The batch root is wall-clock only: there is no single virtual
+        # clock spanning the feeds (each feed owns its own SimClock).
+        with obs.tracer.span(
+            "execute-batch", feeds=len(self.sessions), queries=len(queries)
+        ) as root:
+            return self._execute_batch(queries, reid_enabled, obs, root)
 
     def _execute_batch(self, queries, reid_enabled, obs, root):
         merged = [MultiCameraResult(query_name=q.query_name) for q in queries]
@@ -449,8 +446,6 @@ class MultiCameraSession:
         would float unparented instead of nesting under ``execute-batch``.
         """
         session = self.sessions[name]
-        if obs is None:
-            return session.execute_many(queries, ensure_events=reid_enabled)
         with obs.tracer.span("feed-scan", parent=parent, lane=name, feed=name):
             return session.execute_many(queries, ensure_events=reid_enabled, obs=obs)
 
@@ -468,13 +463,11 @@ class MultiCameraSession:
         which are fresh per execution).
         """
         self.link_clock.reset()
-        obs = self.last_obs
-        if obs is not None:
-            with obs.tracer.span("reid-link", clock=self.link_clock, feeds=len(self.sessions)):
-                return self._link_tracks(obs)
-        return self._link_tracks(None)
+        obs = self.last_obs or DISABLED
+        with obs.tracer.span("reid-link", clock=self.link_clock, feeds=len(self.sessions)):
+            return self._link_tracks(obs)
 
-    def _link_tracks(self, obs) -> CrossCameraLinks:
+    def _link_tracks(self, obs: Obs) -> CrossCameraLinks:
         reid_cfg = self.config.reid()
         model = self.zoo.get(reid_cfg.reid_model)
         profiles: Dict[str, List[TrackProfile]] = {}

@@ -120,10 +120,11 @@ class ObsConfig:
     metrics registry, decision log) is threaded through the whole
     execution — session, planner, scheduler, model invocations, re-id —
     and every :class:`~repro.backend.results.QueryResult` carries an
-    ``explain()`` payload.  Off by default: spans only *snapshot* the
-    virtual clock (never charge it), so results are byte-identical with
-    tracing on or off, and the disabled path costs one ``is not None``
-    check per hook.
+    ``explain()`` payload.  Off by default: the engine then runs with the
+    shared disabled bundle (:data:`repro.obs.core.DISABLED`), whose sinks
+    discard everything, so each hook costs one no-op call.  Spans only
+    *snapshot* the virtual clock (never charge it), so results are
+    byte-identical with tracing on or off.
     """
 
     enabled: bool = False
@@ -311,9 +312,9 @@ class IndexConfig:
     frame-filter verdicts, and re-id embeddings are keyed by ``(video,
     model, model version)``, so a later session over the same video serves
     them from the index instead of re-running the model.  The index also
-    records per-video observed statistics (tracker-stable fraction, filter
-    selectivities) that the planner's cost model consumes in place of its
-    configured priors.  Off by default: no index objects are created and
+    records each video's observed tracker-stable fraction, which the
+    planner's cost model uses in place of its ``stride_stable_fraction``
+    prior.  Off by default: no index objects are created and
     execution is byte-identical to an index-free run.
     """
 

@@ -102,6 +102,9 @@ class ScanCheckpointer:
         ctx = scheduler.ctx
         shared = self._shared_objects(scheduler)
         memo = {id(obj): obj for obj in shared}
+        # Count first: the snapshot must include the checkpoint it belongs
+        # to, or every scan resumed from it would be one short.
+        scheduler.stats.checkpoints_taken += 1
         payload = copy.deepcopy(
             {
                 "scheduler": scheduler,
@@ -112,12 +115,10 @@ class ScanCheckpointer:
         )
         self._checkpoint = ScanCheckpoint(next_frame, payload, shared)
         self._last_capture_frame = next_frame
-        scheduler.stats.checkpoints_taken += 1
-        if scheduler.obs is not None:
-            scheduler.obs.decisions.record(
-                "checkpoint-taken", "checkpoint-interval", frame_id=next_frame
-            )
-            scheduler.obs.metrics.inc("checkpoints_taken")
+        scheduler.obs.decisions.record(
+            "checkpoint-taken", "checkpoint-interval", frame_id=next_frame
+        )
+        scheduler.obs.metrics.inc("checkpoints_taken")
 
     # ----------------------------------------------------------- restore --
     def restore(self) -> Tuple[Any, int]:
@@ -146,14 +147,13 @@ class ScanCheckpointer:
         scheduler.stats.scan_resumes = self.resumes_used
         if scheduler.faults is not None:
             scheduler.faults.stats = scheduler.stats
-        if scheduler.obs is not None:
-            scheduler.obs.decisions.record(
-                "scan-resumed",
-                "crash-recovery",
-                frame_id=cp.next_frame,
-                resume=self.resumes_used,
-            )
-            scheduler.obs.metrics.inc("scan_resumes")
+        scheduler.obs.decisions.record(
+            "scan-resumed",
+            "crash-recovery",
+            frame_id=cp.next_frame,
+            resume=self.resumes_used,
+        )
+        scheduler.obs.metrics.inc("scan_resumes")
         return scheduler, cp.next_frame
 
     # --------------------------------------------------------- internals --
@@ -161,9 +161,7 @@ class ScanCheckpointer:
     def _shared_objects(scheduler: Any) -> Tuple[Any, ...]:
         """Everything the snapshot must reference by identity, not copy."""
         ctx = scheduler.ctx
-        shared = [ctx, ctx.video, ctx.zoo, ctx.clock]
-        if ctx.obs is not None:
-            shared.append(ctx.obs)
+        shared = [ctx, ctx.video, ctx.zoo, ctx.clock, ctx.obs]
         if scheduler.faults is not None:
             shared.append(scheduler.faults)
         for stream in scheduler.streams:

@@ -29,6 +29,7 @@ from repro.common.clock import SimClock
 from repro.common.config import FaultConfig
 from repro.common.errors import ExecutionError, FeedFailedError, ModelTimeoutError, TransientModelError
 from repro.faults.injection import FaultInjector
+from repro.obs.core import DISABLED, Obs
 
 T = TypeVar("T")
 
@@ -89,32 +90,23 @@ class FaultManager:
         config: FaultConfig,
         clock: SimClock,
         feed: str = "",
-        obs=None,
+        obs: Obs = DISABLED,
     ) -> None:
+        from repro.backend.scheduler import ScanStats  # repro.backend imports this module
+
         self.config = config
         self.clock = clock
         self.feed = feed
         self.obs = obs
         self.injector = FaultInjector(config, feed=feed)
-        #: Attached by the executor once the scheduler (and its ScanStats)
-        #: exists; guarded everywhere because canary/standalone invocations
-        #: may run without one.
-        self.stats = None
+        #: The scan's counters.  A standalone manager keeps its own; the
+        #: executor and the live session swap in the scheduler's.
+        self.stats = ScanStats()
         self._breakers: Dict[str, CircuitBreaker] = {}
 
-    # ---------------------------------------------------------------- obs --
-    def _decide(self, action: str, reason: str, frame_id=None, subject=None, **attrs) -> None:
-        if self.obs is not None:
-            self.obs.decisions.record(action, reason, frame_id=frame_id, subject=subject, **attrs)
-
-    def _metric(self, name: str, **labels) -> None:
-        if self.obs is not None:
-            self.obs.metrics.inc(name, **labels)
-
     def _count_fault(self, kind: str) -> None:
-        if self.stats is not None:
-            self.stats.faults_injected += 1
-        self._metric("faults_injected", kind=kind)
+        self.stats.faults_injected += 1
+        self.obs.metrics.inc("faults_injected", kind=kind)
 
     # ------------------------------------------------------------ breakers --
     def breaker(self, model_name: str) -> CircuitBreaker:
@@ -137,8 +129,7 @@ class FaultManager:
         """
         breaker = self.breaker(model_name)
         if not breaker.allow(self.clock.elapsed_ms):
-            if self.stats is not None:
-                self.stats.model_failures += 1
+            self.stats.model_failures += 1
             raise TransientModelError(
                 f"circuit open for model {model_name!r} at frame {frame_id} "
                 f"(cooling down {self.config.breaker_cooldown_ms:.0f}ms)"
@@ -152,9 +143,8 @@ class FaultManager:
                 last_error = exc
                 opened = breaker.record_failure(self.clock.elapsed_ms)
                 if opened:
-                    if self.stats is not None:
-                        self.stats.circuit_opens += 1
-                    self._decide(
+                    self.stats.circuit_opens += 1
+                    self.obs.decisions.record(
                         "circuit-opened",
                         "failure-threshold",
                         frame_id=frame_id,
@@ -164,10 +154,9 @@ class FaultManager:
                 if attempt + 1 >= attempts or not breaker.allow(self.clock.elapsed_ms):
                     break
                 self._backoff(model_name, frame_id, attempt)
-                if self.stats is not None:
-                    self.stats.model_retries += 1
-                self._metric("model_retries", model=model_name)
-                self._decide(
+                self.stats.model_retries += 1
+                self.obs.metrics.inc("model_retries", model=model_name)
+                self.obs.decisions.record(
                     "model-retry",
                     "timeout" if isinstance(exc, ModelTimeoutError) else "transient-fault",
                     frame_id=frame_id,
@@ -176,10 +165,11 @@ class FaultManager:
                 )
             else:
                 if breaker.record_success():
-                    self._decide("circuit-closed", "probe-succeeded", frame_id=frame_id, subject=model_name)
+                    self.obs.decisions.record(
+                        "circuit-closed", "probe-succeeded", frame_id=frame_id, subject=model_name
+                    )
                 return value
-        if self.stats is not None:
-            self.stats.model_failures += 1
+        self.stats.model_failures += 1
         assert last_error is not None
         raise last_error
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.index import schema
 from repro.models.base import Detection
+from repro.obs.core import DISABLED, Obs
 
 #: Lookup outcomes (the store's vocabulary; the view translates to obs).
 _HIT = "hit"
@@ -100,7 +101,7 @@ class VideoIndexStore:
             return json.dumps(self._payload, sort_keys=True)
 
     # ------------------------------------------------------------------ views --
-    def view(self, video: Any, zoo: Any, obs: Optional[Any] = None) -> "IndexView":
+    def view(self, video: Any, zoo: Any, obs: Obs = DISABLED) -> "IndexView":
         """A per-execution view bound to one video's entries."""
         return IndexView(self, video, zoo, obs=obs)
 
@@ -108,7 +109,7 @@ class VideoIndexStore:
     def _video(self, video_key: str) -> Dict[str, Any]:
         """The video's bucket, created on demand.  Caller holds the lock."""
         return self._payload["videos"].setdefault(
-            video_key, {"kinds": {}, "tracks": {}, "stats": {}}
+            video_key, {"kinds": {}, "stats": {}}
         )
 
     def lookup(
@@ -149,18 +150,6 @@ class VideoIndexStore:
                 kinds[model_name] = bucket
             bucket["entries"][entry_key] = value
 
-    def record_tracks(
-        self, video_key: str, pair_key: str, version: str, tracks: Dict[str, Any]
-    ) -> None:
-        """Merge one (tracker, detector) pair's track summaries."""
-        with self._lock:
-            table = self._video(video_key)["tracks"]
-            bucket = table.get(pair_key)
-            if bucket is None or bucket.get("version") != version:
-                bucket = {"version": version, "tracks": {}}
-                table[pair_key] = bucket
-            bucket["tracks"].update(tracks)
-
     def record_stats(self, video_key: str, stats: Dict[str, Any]) -> None:
         """Merge observed per-video scan statistics."""
         with self._lock:
@@ -169,11 +158,6 @@ class VideoIndexStore:
     def video_stats(self, video_key: str) -> Dict[str, Any]:
         with self._lock:
             return dict(self._payload["videos"].get(video_key, {}).get("stats", {}))
-
-    def tracks(self, video_key: str) -> Dict[str, Any]:
-        with self._lock:
-            table = self._payload["videos"].get(video_key, {}).get("tracks", {})
-            return {pair: dict(bucket.get("tracks", {})) for pair, bucket in table.items()}
 
     def observed_stable_fraction(
         self, video_key: str, min_frames: int = 1
@@ -192,18 +176,6 @@ class VideoIndexStore:
             return None
         return float(fraction)
 
-    def filter_selectivities(self, video_key: str) -> Dict[str, float]:
-        """Per-filter keep rates computed from the stored verdicts."""
-        with self._lock:
-            kinds = self._payload["videos"].get(video_key, {}).get("kinds", {})
-            out: Dict[str, float] = {}
-            for model_name, bucket in kinds.get(schema.KIND_FILTER, {}).items():
-                entries = bucket.get("entries", {})
-                if entries:
-                    kept = sum(1 for verdict in entries.values() if verdict)
-                    out[model_name] = kept / len(entries)
-            return out
-
 
 class IndexView:
     """One execution's window onto the store, bound to a (video, zoo) pair.
@@ -211,10 +183,10 @@ class IndexView:
     The view resolves model versions against the zoo it was created with,
     translates store lookups into the engine's vocabulary (decisions,
     metrics, explain counters), and owns the post-scan finalization that
-    records track summaries and per-video statistics.
+    records per-video statistics.
     """
 
-    def __init__(self, store: VideoIndexStore, video: Any, zoo: Any, obs: Optional[Any] = None) -> None:
+    def __init__(self, store: VideoIndexStore, video: Any, zoo: Any, obs: Obs = DISABLED) -> None:
         self.store = store
         self.video_key = schema.video_key(video)
         self.zoo = zoo
@@ -241,27 +213,24 @@ class IndexView:
         obs = self.obs
         if status == _HIT:
             self.counters["hits"] += 1
-            if obs is not None:
-                obs.decisions.record("index-hit", kind, model=model_name, frame_id=frame_id)
-                obs.metrics.inc("index_hits", model=model_name, kind=kind)
+            obs.decisions.record("index-hit", kind, model=model_name, frame_id=frame_id)
+            obs.metrics.inc("index_hits", model=model_name, kind=kind)
         elif status == _STALE:
             self.counters["stale"] += 1
-            if obs is not None:
-                obs.metrics.inc("index_stale", model=model_name, kind=kind)
-                if (kind, model_name) not in self._stale_noted:
-                    self._stale_noted.add((kind, model_name))
-                    obs.decisions.record(
-                        "index-stale",
-                        "model-version-mismatch",
-                        model=model_name,
-                        frame_id=frame_id,
-                        expected=self._version(model_name),
-                    )
+            obs.metrics.inc("index_stale", model=model_name, kind=kind)
+            if (kind, model_name) not in self._stale_noted:
+                self._stale_noted.add((kind, model_name))
+                obs.decisions.record(
+                    "index-stale",
+                    "model-version-mismatch",
+                    model=model_name,
+                    frame_id=frame_id,
+                    expected=self._version(model_name),
+                )
         else:
             self.counters["misses"] += 1
-            if obs is not None:
-                obs.decisions.record("index-miss", kind, model=model_name, frame_id=frame_id)
-                obs.metrics.inc("index_misses", model=model_name, kind=kind)
+            obs.decisions.record("index-miss", kind, model=model_name, frame_id=frame_id)
+            obs.metrics.inc("index_misses", model=model_name, kind=kind)
         return status, value
 
     def _record(self, kind: str, model_name: str, entry_key: str, value: Any, frame_id: Optional[int]) -> None:
@@ -269,9 +238,8 @@ class IndexView:
             self.video_key, kind, model_name, self._version(model_name), entry_key, value
         )
         self.counters["written"] += 1
-        if self.obs is not None:
-            self.obs.decisions.record("index-written", kind, model=model_name, frame_id=frame_id)
-            self.obs.metrics.inc("index_writes", model=model_name, kind=kind)
+        self.obs.decisions.record("index-written", kind, model=model_name, frame_id=frame_id)
+        self.obs.metrics.inc("index_writes", model=model_name, kind=kind)
 
     # ------------------------------------------------------------- detections --
     def lookup_detections(self, model_name: str, frame_id: int) -> Optional[List[Detection]]:
@@ -319,49 +287,19 @@ class IndexView:
 
     # ------------------------------------------------------------ finalization --
     def finalize(self, ctx: Any, observe_stability: bool = False) -> None:
-        """Record the finished scan's track summaries and video statistics.
+        """Record the finished scan's per-video statistics.
 
         ``observe_stability`` must be True only when stride sampling drove
         the scan: without sampling no frame is ever tracker-predicted, and
         recording the resulting 0.0 would poison the planner's stable-
         fraction prior for every later query over this video.
         """
-        sources = ctx.track_sources()
-        by_pair: Dict[Tuple[str, str], Dict[str, Any]] = {}
-        for track_id in sorted(sources):
-            pair = ctx.track_pair(track_id)
-            if pair is None:
-                continue
-            detection = sources[track_id]
-            first = ctx.track_first_seen(track_id)
-            by_pair.setdefault(pair, {})[str(track_id)] = {
-                "class_name": detection.class_name,
-                "first_frame": detection.frame_id if first is None else first,
-                "last_frame": detection.frame_id,
-            }
-        for pair, tracks in by_pair.items():
-            self.store.record_tracks(
-                self.video_key, f"{pair[0]}|{pair[1]}", self._version(pair[1]), tracks
-            )
-            self.counters["written"] += len(tracks)
-
         stats = ctx.scan_stats
-        payload: Dict[str, Any] = {}
-        if stats is not None:
-            scanned = int(getattr(stats, "frames_scanned", 0) or 0)
-            payload["frames_scanned"] = scanned
-            if observe_stability and scanned > 0:
-                interpolated = int(getattr(stats, "frames_interpolated", 0) or 0)
-                payload["stable_fraction"] = interpolated / scanned
-        selectivities = self.store.filter_selectivities(self.video_key)
-        if selectivities:
-            payload["filter_selectivity"] = selectivities
-        if payload:
-            self.store.record_stats(self.video_key, payload)
-            if self.obs is not None:
-                self.obs.decisions.record(
-                    "index-written", "video-stats", video=self.video_key
-                )
+        payload: Dict[str, Any] = {"frames_scanned": stats.frames_scanned}
+        if observe_stability and stats.frames_scanned > 0:
+            payload["stable_fraction"] = stats.frames_interpolated / stats.frames_scanned
+        self.store.record_stats(self.video_key, payload)
+        self.obs.decisions.record("index-written", "video-stats", video=self.video_key)
 
     def summary(self) -> Dict[str, Any]:
         """The counters ``explain()`` renders in its Index section."""

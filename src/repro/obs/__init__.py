@@ -1,14 +1,15 @@
 """Engine-wide observability: span tracing, metrics, decisions, explain.
 
-Enable via ``PlannerConfig(enable_tracing=True)``; everything here is
-inert (and results byte-identical) when the knob is off.  See
+Enable via ``PlannerConfig(enable_tracing=True)``.  When the knob is off
+the engine runs with the shared disabled bundle (``repro.obs.core.DISABLED``)
+whose sinks discard everything, and results are byte-identical.  See
 docs/observability.md.
 """
 
 from repro.obs.core import Obs
 from repro.obs.decisions import Decision, DecisionLog
 from repro.obs.explain import CandidateReport, ExplainData, render_explain
-from repro.obs.metrics import HistogramStat, MetricsRegistry, RegistryField, format_key
+from repro.obs.metrics import HistogramStat, MetricsRegistry, format_key
 from repro.obs.trace import NullTracer, Span, Tracer
 
 __all__ = [
@@ -20,7 +21,6 @@ __all__ = [
     "render_explain",
     "HistogramStat",
     "MetricsRegistry",
-    "RegistryField",
     "format_key",
     "NullTracer",
     "Span",

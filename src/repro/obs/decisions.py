@@ -122,3 +122,33 @@ class DecisionLog:
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)
+
+
+class NullDecisionLog:
+    """API-compatible decision log that discards every record (tracing off)."""
+
+    evicted = 0
+
+    def record(
+        self,
+        action: str,
+        reason: str,
+        frame_id: Optional[int] = None,
+        subject: Optional[str] = None,
+        **attrs: Any,
+    ) -> None:
+        pass
+
+    def records(
+        self, action: Optional[str] = None, reason: Optional[str] = None
+    ) -> List[Decision]:
+        return []
+
+    def count(self, action: str, reason: Optional[str] = None) -> int:
+        return 0
+
+    def summary(self) -> Dict[str, Dict[str, int]]:
+        return {}
+
+    def __len__(self) -> int:
+        return 0

@@ -1,10 +1,11 @@
 """Labeled counter/gauge/histogram registry.
 
-The registry is the single numeric surface for engine observability:
-``ScanStats`` exposes its counters as registry gauges (keeping the legacy
-``as_dict()`` view), while tracing-mode instrumentation adds labeled
-counters (``detector_invocations{model=...}``) and bounded histogram
-summaries (``gate_eval_ms{model=...}``, ``stride_level``).
+Tracing-mode instrumentation records labeled counters
+(``detector_invocations{model=...}``) and bounded histogram summaries
+(``gate_eval_ms{model=...}``, ``stride_level``) here.  ``ScanStats`` is
+not backed by the registry: it is a plain per-scan dataclass the scheduler
+increments directly.  With tracing off the engine holds a
+:class:`NullMetrics`, which discards every sample.
 
 Histograms store only ``(count, total, min, max)`` aggregates, so memory
 stays O(label cardinality) regardless of how many samples arrive, and
@@ -109,26 +110,6 @@ class MetricsRegistry:
         with self._lock:
             return self._histograms.get(_key(name, labels))
 
-    # -- copying ----------------------------------------------------------
-
-    def __deepcopy__(self, memo: Dict[int, object]) -> "MetricsRegistry":
-        """Deep-copy the metric maps behind a *fresh* lock.
-
-        Locks are not copyable, and a copy must never share the original's
-        lock anyway.  Scan checkpointing deep-copies the scheduler's
-        ``ScanStats`` (whose counters live in a registry), so this has to
-        work under ``copy.deepcopy``.
-        """
-        import copy
-
-        clone = MetricsRegistry()
-        memo[id(self)] = clone
-        with self._lock:
-            clone._counters = dict(self._counters)
-            clone._gauges = copy.deepcopy(self._gauges, memo)
-            clone._histograms = copy.deepcopy(self._histograms, memo)
-        return clone
-
     # -- snapshot ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -148,26 +129,26 @@ class MetricsRegistry:
             }
 
 
-class RegistryField:
-    """Descriptor exposing an attribute as an unlabeled registry gauge.
+class NullMetrics:
+    """API-compatible registry that discards every sample (tracing off)."""
 
-    Lets a stats object keep plain ``obj.field`` read/write semantics
-    (including ``+=``) while every value lives in the owner's
-    ``MetricsRegistry``, so ``registry.snapshot()`` is the source of truth
-    and legacy dict views are derived from it.
-    """
+    def inc(self, name: str, value: float = 1, **labels: object) -> None:
+        pass
 
-    def __init__(self, default: object = 0) -> None:
-        self.default = default
-        self.name = ""
+    def counter(self, name: str, **labels: object) -> float:
+        return 0
 
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
+    def set_gauge(self, name: str, value: object, **labels: object) -> None:
+        pass
 
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj.registry.gauge(self.name, default=self.default)
+    def gauge(self, name: str, default: object = None, **labels: object) -> object:
+        return default
 
-    def __set__(self, obj, value) -> None:
-        obj.registry.set_gauge(self.name, value)
+    def observe(self, name: str, value: float, **labels: object) -> None:
+        pass
+
+    def histogram(self, name: str, **labels: object) -> Optional[HistogramStat]:
+        return None
+
+    def snapshot(self) -> Dict[str, Dict[str, object]]:
+        return {"counters": {}, "gauges": {}, "histograms": {}}

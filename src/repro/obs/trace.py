@@ -29,6 +29,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Optional
 
 
@@ -239,18 +240,37 @@ class Tracer:
         return path
 
 
+class _NullScope:
+    """The one reusable, re-entrant context manager ``NullTracer.span`` returns."""
+
+    __slots__ = ("span",)
+
+    def __init__(self, span: Span) -> None:
+        self.span = span
+
+    def __enter__(self) -> Span:
+        return self.span
+
+    def __exit__(self, *exc: Any) -> bool:
+        return False
+
+
 class NullTracer:
-    """API-compatible no-op tracer (fast path when tracing is off)."""
+    """API-compatible no-op tracer (fast path when tracing is off).
+
+    ``span()`` returns the same scope every time: no generator, no span
+    object, no timestamps.  The null span's attributes are read-only, so a
+    caller that tries to write state into it fails loudly.
+    """
 
     max_spans = 0
     dropped = 0
 
     def __init__(self) -> None:
-        self._span = Span("null", -1, None, None, {})
+        self._scope = _NullScope(Span("null", -1, None, None, MappingProxyType({})))
 
-    @contextmanager
-    def span(self, name: str, clock=None, parent=None, lane=None, **attrs) -> Iterator[Span]:
-        yield self._span
+    def span(self, name: str, clock=None, parent=None, lane=None, **attrs) -> _NullScope:
+        return self._scope
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
         return []

@@ -368,6 +368,28 @@ class TestCheckpointResume:
         assert dict(clock.calls) == dict(base_clock.calls)
         assert dict(clock.by_account) == dict(base_clock.by_account)
 
+    @pytest.mark.parametrize(
+        "crash_frames",
+        [(("chaos", 120),), (("chaos", 120), ("chaos", 130))],
+        ids=["one-crash", "two-crashes"],
+    )
+    def test_resumed_scan_counts_every_checkpoint(self, crash_frames):
+        # A restore rolls ScanStats back to the snapshot, so the snapshot
+        # must already count the checkpoint it was taken for.
+        def run(**crash):
+            fault_config = FaultConfig(
+                seed=CHAOS_SEED, checkpoint_interval=50, max_resumes=2, **crash
+            )
+            session, _ = run_single(chaos_video(), ft_config(fault_config, enable_tracing=True))
+            return session
+
+        clean = run()
+        crashed = run(crash_frames=crash_frames)
+        stats = crashed.last_context.scan_stats
+        assert stats.scan_resumes == len(crash_frames)
+        assert stats.checkpoints_taken == clean.last_context.scan_stats.checkpoints_taken
+        assert stats.checkpoints_taken == crashed.last_obs.decisions.count("checkpoint-taken")
+
     def test_crash_without_checkpointing_aborts(self):
         fault_config = FaultConfig(seed=CHAOS_SEED, crash_frames=(("chaos", 120),))
         with pytest.raises(ExecutionError, match="injected scan crash"):

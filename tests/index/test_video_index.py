@@ -144,6 +144,21 @@ class TestVideoIndexStore:
         store.save()
         assert VideoIndexStore(path).lookup("v", "detections", "yolox", "D@0", "0") == ("hit", [])
 
+    def test_file_with_a_track_summary_table_still_loads(self, tmp_path, recwarn):
+        # Older stores wrote per-pair track summaries; nothing reads them
+        # any more, but their files must stay valid.
+        path = str(tmp_path / "index.json")
+        bucket = {
+            "kinds": {"detections": {"yolox": {"version": "D@0", "entries": {"0": []}}}},
+            "tracks": {"sort|yolox": {"version": "D@0", "tracks": {"1": {"class_name": "car"}}}},
+            "stats": {"frames_scanned": 1},
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": 1, "videos": {"v": bucket}}, fh)
+        store = VideoIndexStore(path)
+        assert not recwarn.list
+        assert store.lookup("v", "detections", "yolox", "D@0", "0") == ("hit", [])
+
     def test_wrong_schema_version_is_treated_as_corrupt(self, tmp_path):
         path = str(tmp_path / "index.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,4 +1,4 @@
-"""Unit tests for the labeled metrics registry and the ScanStats view."""
+"""Unit tests for the labeled metrics registry and the ScanStats dict view."""
 
 from __future__ import annotations
 
@@ -66,16 +66,7 @@ def test_counter_aggregation_is_thread_order_independent():
     assert reg.counter("hits", worker="any") == 800
 
 
-# -- ScanStats as a registry view -------------------------------------------------
-
-
-def test_scan_stats_fields_live_in_the_registry():
-    stats = ScanStats()
-    stats.frames_scanned += 5
-    stats.peak_stride = 4
-    assert stats.frames_scanned == 5
-    assert stats.registry.gauge("frames_scanned") == 5
-    assert stats.registry.gauge("peak_stride") == 4
+# -- ScanStats dict view ---------------------------------------------------------
 
 
 def test_scan_stats_as_dict_compatibility_view():
@@ -86,10 +77,3 @@ def test_scan_stats_as_dict_compatibility_view():
     assert d["early_exit_frame"] is None
     assert ScanStats.from_dict(d) == stats
     assert ScanStats(**d) == stats
-
-
-def test_scan_stats_shared_registry():
-    reg = MetricsRegistry()
-    stats = ScanStats(registry=reg)
-    stats.frames_deferred += 2
-    assert reg.gauge("frames_deferred") == 2

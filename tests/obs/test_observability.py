@@ -3,20 +3,25 @@
 The contract under test: ``PlannerConfig(enable_tracing=True)`` yields
 spans, metrics, decision records, and ``explain()`` — while leaving every
 result byte-identical to an untraced run; ``enable_tracing=False`` (the
-default) leaves the engine completely inert (no obs objects anywhere).
+default) leaves the engine inert (every hook goes to the shared disabled
+bundle, and every public obs handle stays None).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.backend.live import LiveSession
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
-from repro.common.config import VideoSpec
+from repro.common.config import FaultConfig, VideoSpec
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
 from repro.videosim.datasets import camera_clip
 from repro.videosim.entities import ObjectSpec
+from repro.videosim.livefeed import LiveFeed
 from repro.videosim.trajectory import LinearTrajectory
 from repro.videosim.video import SyntheticVideo
 
@@ -104,6 +109,95 @@ class TestDisabledMode:
         assert tr == base
         assert plain.last_context.clock.elapsed_ms == traced.last_context.clock.elapsed_ms
         assert plain.last_scan_stats == traced.last_scan_stats
+
+    @pytest.mark.parametrize("scenario", ["batch_all_knobs", "multicam_reid", "live"])
+    def test_every_subsystem_is_inert(self, scenario, clip, zoo):
+        """Tracing off changes nothing but the public obs handles.
+
+        Each scenario runs once traced and once untraced.  Results, clock
+        accounts and ``ScanStats`` must match; the untraced run's handles
+        must all be None.
+        """
+        run = getattr(self, f"_run_{scenario}")
+        traced, traced_handles = run(clip, zoo, tracing=True)
+        plain, plain_handles = run(clip, zoo, tracing=False)
+        assert plain == traced
+        assert all(handle is not None for handle in traced_handles)
+        assert all(handle is None for handle in plain_handles)
+
+    @staticmethod
+    def _clock(clock):
+        return clock.elapsed_ms, dict(clock.by_account), dict(clock.calls)
+
+    def _run_batch_all_knobs(self, clip, zoo, tracing):
+        # Faults with a crash and checkpoint/resume, the index and stride
+        # sampling, all in one batch.
+        faults = FaultConfig(
+            seed=11,
+            transient_rate=0.05,
+            corrupt_frame_rate=0.02,
+            crash_frames=((clip.spec.name, 70),),
+            checkpoint_interval=25,
+        )
+        config = PlannerConfig(
+            profile_plans=False,
+            enable_tracing=tracing,
+            enable_fault_tolerance=True,
+            fault_config=faults,
+            enable_video_index=True,
+            enable_stride_sampling=True,
+        )
+        session = QuerySession(clip, zoo=zoo, config=config)
+        results = session.execute_many(batch())
+        stats = session.last_scan_stats
+        assert stats["scan_resumes"] == 1 and stats["frames_degraded"] > 0
+        assert session.last_context.index.counters["written"] > 0
+        observed = (results, self._clock(session.last_context.clock), stats)
+        handles = [session.last_obs, session.last_trace] + [r.obs for r in results]
+        return observed, handles
+
+    def _run_multicam_reid(self, clip, zoo, tracing):
+        feeds = {"north": clip, "south": camera_clip("banff", duration_s=6, seed=1)}
+        config = PlannerConfig(
+            profile_plans=False, enable_tracing=tracing, enable_cross_camera_reid=True
+        )
+        session = MultiCameraSession(feeds, zoo=zoo, config=config, max_workers=2)
+        merged = session.execute_many(batch())
+        assert session.last_links.identities
+        observed = (
+            [dict(m.per_camera) for m in merged],
+            dict(session.last_links.identities),
+            {name: self._clock(s.last_context.clock) for name, s in session.sessions.items()},
+            self._clock(session.link_clock),
+            session.last_scan_stats,
+        )
+        handles = [session.last_obs] + [s.last_obs for s in session.sessions.values()]
+        handles += [r.obs for m in merged for r in m.per_camera.values()]
+        return observed, handles
+
+    def _run_live(self, clip, zoo, tracing):
+        # 3x native pacing with reordering and duplicates: pressure stride,
+        # shedding and late drops all fire.
+        feed = LiveFeed(clip, fps=clip.fps * 3, seed=5, reorder_rate=0.1, duplicate_rate=0.05)
+        config = PlannerConfig(
+            profile_plans=False,
+            enable_live=True,
+            enable_tracing=tracing,
+            enable_stride_sampling=True,
+            enable_fault_tolerance=True,
+            fault_config=FaultConfig(seed=11, transient_rate=0.05),
+        )
+        config = replace(config, live_config=replace(config.live_config, max_buffered_frames=16))
+        session = LiveSession(feed, zoo=zoo, config=config)
+        stats = session.run(batch())
+        assert stats.frames_shed > 0 and stats.frames_late_dropped > 0
+        observed = (
+            [(a.query_name, a.event, a.emitted_at_ms) for a in session.alerts()],
+            stats.as_dict(),
+            self._clock(session.clock),
+            session.last_scan_stats,
+        )
+        return observed, [session.last_obs]
 
 
 # -- traced single-video runs -----------------------------------------------------

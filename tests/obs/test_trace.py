@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import threading
 
+import pytest
+
 from repro.common.clock import SimClock
 from repro.obs.trace import NullTracer, Tracer
 
@@ -88,6 +90,13 @@ def test_null_tracer_is_inert():
     with tracer.span("anything", clock=SimClock(), attr=1) as span:
         pass
     assert span.span_id == -1
+    # One shared scope and span for every call, and nothing can be written
+    # into them (the disabled bundle is shared across executions).
+    with tracer.span("other") as again:
+        pass
+    assert again is span
+    with pytest.raises(TypeError):
+        span.set("key", "value")
 
 
 def test_json_export_roundtrips(tmp_path):
