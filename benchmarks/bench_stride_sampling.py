@@ -225,9 +225,9 @@ def test_gate_aware_planner_flips_selection(benchmark):
 
     Four queries register the same ``no_red_on_road`` filter; the red car is
     on screen in (almost) every canary frame, so the filter rejects next to
-    nothing.  Priced per plan (PR-2) the filter is a net loss and the
-    planner drops it; priced once per batch, keeping it is cheaper — the
-    planner must pick the other candidate.
+    nothing.  Planned solo, the filter is priced at its full cost, is a net
+    loss and the planner drops it; priced once per batch of four, keeping it
+    is cheaper — the planner must pick the other candidate.
     """
     spec = VideoSpec("busy_red", fps=10, width=640, height=480, duration_s=30)
     car = ObjectSpec(
@@ -240,28 +240,27 @@ def test_gate_aware_planner_flips_selection(benchmark):
     video = SyntheticVideo(spec, [car], seed=21)
     zoo = get_library_zoo()
 
-    def plan_first(aware: bool):
-        config = PlannerConfig(canary_frames=200, enable_gate_aware_costs=aware)
-        planner = Planner(zoo, config)
-        batch = [_FilteredRedCarQuery() for _ in range(4)]
+    def plan_first(batch_size: int):
+        planner = Planner(zoo, PlannerConfig(canary_frames=200))
+        batch = [_FilteredRedCarQuery() for _ in range(batch_size)]
         planner.begin_batch(batch)
         return planner.plan(batch[0], video)
 
-    unaware = benchmark.pedantic(lambda: plan_first(False), rounds=1, iterations=1)
-    aware = plan_first(True)
+    solo = benchmark.pedantic(lambda: plan_first(1), rounds=1, iterations=1)
+    batched = plan_first(4)
 
     _emit(
         "gate_aware_selection",
         {
-            "unshared_variant": unaware.variant,
-            "gate_aware_variant": aware.variant,
-            "unshared_estimated_ms": round(unaware.estimated_cost_ms, 1),
-            "gate_aware_estimated_ms": round(aware.estimated_cost_ms, 1),
-            "gate_aware_measured_ms": round(aware.profiled_cost_ms, 1),
+            "unshared_variant": solo.variant,
+            "gate_aware_variant": batched.variant,
+            "unshared_estimated_ms": round(solo.estimated_cost_ms, 1),
+            "gate_aware_estimated_ms": round(batched.estimated_cost_ms, 1),
+            "gate_aware_measured_ms": round(batched.profiled_cost_ms, 1),
         },
     )
 
     # The shared-filter pricing must change (and improve) the selection.
-    assert unaware.variant == "no_frame_filters"
-    assert aware.variant == "base"
-    assert aware.estimated_cost_ms < unaware.estimated_cost_ms
+    assert solo.variant == "no_frame_filters"
+    assert batched.variant == "base"
+    assert batched.estimated_cost_ms < solo.estimated_cost_ms

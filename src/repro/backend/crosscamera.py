@@ -171,7 +171,7 @@ class ReidMatcher:
         clock: Optional[SimClock] = None,
         obs: Obs = DISABLED,
     ) -> None:
-        self.config = config or ReidConfig(enabled=True)
+        self.config = config or ReidConfig()
         self.clock = clock
         self.obs = obs
 
@@ -648,24 +648,20 @@ def build_track_profiles(
         # The persistent index stores embeddings keyed by *source detection*
         # (track ids are batch-local): consult it per miss, then embed only
         # the remainder in one batched invocation and write those through.
-        index = getattr(ctx, "index", None)
+        index = ctx.index
         remaining: List[Detection] = []
-        if index is None:
-            remaining = misses
-        else:
-            for detection in misses:
-                vector = index.lookup_embedding(model.name, detection)
-                if vector is not None:
-                    embeddings[detection.track_id] = vector
-                else:
-                    remaining.append(detection)
+        for detection in misses:
+            vector = index.lookup_embedding(model.name, detection)
+            if vector is not None:
+                embeddings[detection.track_id] = vector
+            else:
+                remaining.append(detection)
         if remaining:
             for detection, embedding in zip(
                 remaining, model.predict_batch(remaining, clock=clock)
             ):
                 embeddings[detection.track_id] = embedding
-                if index is not None:
-                    index.record_embedding(model.name, detection, embedding)
+                index.record_embedding(model.name, detection, embedding)
     return [
         TrackProfile(
             camera=camera,

@@ -145,26 +145,15 @@ class Executor:
         """Advance all streams through one adaptive scan, then finalize."""
         if not streams:
             return []
-        faults, checkpointer = self._build_fault_layer(video, ctx, obs)
-        scheduler = ScanScheduler(
-            streams,
-            ctx,
-            gating=self.config.enable_scan_gating,
-            early_exit=self.config.enable_early_exit,
-            stride=self.config.stride(),
-            obs=obs,
-            faults=faults,
+        scheduler = self.build_scan(
+            streams, ctx, video.spec.name, obs, early_exit=self.config.enable_early_exit
         )
-        ctx.scan_stats = scheduler.stats
-        ctx.obs = obs
-        if faults is not None:
-            faults.stats = scheduler.stats
         start_snapshot = ctx.clock.snapshot()
 
         with obs.tracer.span(
             "scan", clock=ctx.clock, video=video.spec.name, streams=len(streams)
         ):
-            scheduler = self._scan(video, scheduler, ctx, faults, checkpointer)
+            scheduler = self._scan(video, scheduler, ctx)
 
         # A checkpoint resume replaces the scheduler (and with it the stream
         # objects); finalize over the streams that actually finished the scan.
@@ -177,43 +166,41 @@ class Executor:
             leaf.result.reuse_hits = ctx.reuse_stats.total_hits
             self._finalize_aggregates(leaf.plan.analysis, leaf.result, video)
         results = [stream.finalize(video, ctx) for stream in streams]
-        if ctx.index is not None:
-            # Post-scan index finalization: observed per-video statistics
-            # (stable fraction only when stride sampling actually measured
-            # it).
-            ctx.index.finalize(
-                ctx, observe_stability=self.config.enable_stride_sampling
-            )
+        # Post-scan index finalization: observed per-video statistics
+        # (stable fraction only when stride sampling actually measured it).
+        ctx.index.finalize(ctx, observe_stability=self.config.enable_stride_sampling)
         if obs.enabled:
             self._attach_explain(results, scheduler, ctx, obs, candidate_reports or {})
         return results
 
-    def _build_fault_layer(self, video: SyntheticVideo, ctx: ExecutionContext, obs: Obs):
-        """The feed's fault manager + checkpointer, or ``(None, None)``.
+    def build_scan(
+        self,
+        streams: Sequence[QueryStream],
+        ctx: ExecutionContext,
+        feed: str,
+        obs: Obs,
+        early_exit: bool,
+    ) -> ScanScheduler:
+        """Wire one feed's scan: the context's obs and fault layer, then the
+        scheduler whose ``ScanStats`` the context and fault layer count into.
 
-        Built per scan so breaker/injector state never leaks across videos
-        or interleaves across the concurrent feeds of a multi-camera session
-        (each feed's scan owns its own manager, keyed by the feed name).
+        The fault manager is built per scan so breaker/injector state never
+        leaks across videos or interleaves across the concurrent feeds of a
+        multi-camera session (each feed's scan owns its own, keyed by the
+        feed name).  Batch execution and live sessions both build here.
         """
-        fault_cfg = self.config.faults()
-        if not fault_cfg.enabled:
-            return None, None
-        faults = FaultManager(fault_cfg, ctx.clock, feed=video.spec.name, obs=obs)
-        ctx.faults = faults
-        checkpointer = None
-        if fault_cfg.checkpoint_interval > 0:
-            checkpointer = ScanCheckpointer(
-                fault_cfg.checkpoint_interval, fault_cfg.max_resumes
-            )
-        return faults, checkpointer
+        ctx.obs = obs
+        if self.config.enable_fault_tolerance:
+            ctx.faults = FaultManager(self.config.fault_config, ctx.clock, feed=feed, obs=obs)
+        scheduler = ScanScheduler(
+            streams, ctx, early_exit=early_exit, stride=self.config.stride()
+        )
+        ctx.scan_stats = scheduler.stats
+        ctx.faults.bind_stats(scheduler.stats)
+        return scheduler
 
     def _scan(
-        self,
-        video: SyntheticVideo,
-        scheduler: ScanScheduler,
-        ctx: ExecutionContext,
-        faults: Optional[Any] = None,
-        checkpointer: Optional[ScanCheckpointer] = None,
+        self, video: SyntheticVideo, scheduler: ScanScheduler, ctx: ExecutionContext
     ) -> ScanScheduler:
         """The frame loop, wrapped in crash recovery when checkpointing is on.
 
@@ -225,8 +212,13 @@ class Executor:
         died, and the multi-camera session isolates it instead.  Returns the
         scheduler that finished the scan (a restored copy after any resume).
         """
+        cfg = self.config.fault_config
+        checkpointer = (
+            ScanCheckpointer(cfg.checkpoint_interval, cfg.max_resumes)
+            if self.config.enable_fault_tolerance and cfg.checkpoint_interval > 0
+            else None
+        )
         start = 0
-        hook = faults.reader_hook if faults is not None else None
         while True:
             if checkpointer is not None:
                 # Anchor a checkpoint at loop entry (frame 0; after a resume
@@ -236,11 +228,7 @@ class Executor:
                 # on every resume, breaking timeline identity.
                 checkpointer.maybe_capture(scheduler, start)
             reader = VideoReader(
-                video,
-                batch_size=self.config.batch_size,
-                clock=ctx.clock,
-                start=start,
-                frame_hook=hook,
+                video, clock=ctx.clock, start=start, frame_hook=ctx.faults.reader_hook
             )
             try:
                 for frame in reader:
@@ -282,7 +270,7 @@ class Executor:
                 total_ms=result.total_ms,
                 decisions=obs.decisions,
                 tracer=obs.tracer,
-                index=ctx.index.summary() if ctx.index is not None else None,
+                index=ctx.index.summary(),
             )
 
     # ---------------------------------------------------------------- queries --

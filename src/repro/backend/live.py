@@ -44,7 +44,8 @@ bounded deques, the decision log is a ring buffer, and every
 
 Everything here is gated behind ``PlannerConfig(enable_live=True)``; with
 the flag off this module is never imported by the batch path, which stays
-byte-identical.
+byte-identical.  The scan itself is built by the same
+:meth:`~repro.backend.executor.Executor.build_scan` the batch path uses.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from repro.backend.streaming import QueryStream
 from repro.common.clock import SimClock
 from repro.common.config import LiveConfig
 from repro.common.errors import ExecutionError, FeedFailedError
-from repro.faults.resilience import CircuitBreaker, FaultManager
+from repro.faults.resilience import CircuitBreaker
 from repro.frontend.query import Query
 from repro.frontend.registry import get_library_zoo
 from repro.models.zoo import ModelZoo
@@ -204,7 +205,7 @@ class LiveSession:
                 "live execution is opt-in: construct the session with "
                 "PlannerConfig(enable_live=True)"
             )
-        self.live: LiveConfig = self.config.live()
+        self.live: LiveConfig = self.config.live_config
         self.feed = feed if isinstance(feed, LiveFeed) else LiveFeed(feed)
         self.video = self.feed.video
         self.zoo = zoo or get_library_zoo()
@@ -268,38 +269,23 @@ class LiveSession:
             self.executor.compile(q, self.video, self.planner, ensure_events=True, obs=obs)
             for q in queries
         ]
-        faults = None
-        fault_cfg = self.config.faults()
-        if fault_cfg.enabled:
-            faults = FaultManager(fault_cfg, ctx.clock, feed=self.feed.feed, obs=obs)
-            ctx.faults = faults
         # Standing queries never early-exit: done() can fire for bounded
         # queries, but the feed — not the answer set — ends a live scan.
-        scheduler = ScanScheduler(
-            self._streams,
-            ctx,
-            gating=self.config.enable_scan_gating,
-            early_exit=False,
-            stride=self.config.stride(),
-            obs=obs,
-            faults=faults,
+        scheduler = self.executor.build_scan(
+            self._streams, ctx, self.feed.feed, obs, early_exit=False
         )
-        ctx.scan_stats = scheduler.stats
-        ctx.obs = obs
-        if faults is not None:
-            faults.stats = scheduler.stats
         self._scheduler = scheduler
 
         with obs.tracer.span(
             "live-session", clock=self.clock, feed=self.feed.feed,
             queries=len(queries),
         ):
-            self._loop(scheduler, faults, obs)
+            self._loop(scheduler, obs)
         self._shutdown(scheduler)
         return self.stats
 
     # -- main loop ---------------------------------------------------------------
-    def _loop(self, scheduler: ScanScheduler, faults: Optional[FaultManager], obs: Obs) -> None:
+    def _loop(self, scheduler: ScanScheduler, obs: Obs) -> None:
         decode_ms = VideoReader.DECODE_MS_PER_MEGAPIXEL * self.video.spec.megapixels
         while True:
             now = self.clock.elapsed_ms
@@ -322,7 +308,7 @@ class LiveSession:
             self._update_pressure(scheduler, obs)
             self._shed_over_cap(scheduler, obs)
             if self._queue:
-                self._dispatch(scheduler, faults)
+                self._dispatch(scheduler)
                 continue
             if not self._idle(scheduler, obs):
                 return
@@ -434,14 +420,11 @@ class LiveSession:
                 self._pressure = new
 
     # -- dispatch ----------------------------------------------------------------
-    def _dispatch(self, scheduler: ScanScheduler, faults: Optional[FaultManager]) -> None:
+    def _dispatch(self, scheduler: ScanScheduler) -> None:
         entry = self._queue.popleft()
-        frame = entry.frame
         self.stats.frames_processed += 1
-        self._dispatched = frame.frame_id
-        if faults is not None:
-            frame = faults.reader_hook(frame)
-        scheduler.step(frame)
+        self._dispatched = entry.frame.frame_id
+        scheduler.step(scheduler.ctx.faults.reader_hook(entry.frame))
         self._emit_alerts()
         if self._dispatched - self._last_prune >= self.live.prune_interval_frames:
             for stream in self._streams:

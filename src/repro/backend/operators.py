@@ -21,7 +21,6 @@ from repro.backend.runtime import ExecutionContext
 from repro.frontend.expr import Environment, Predicate
 from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
-from repro.models.framefilters import evaluate_frame_filter
 
 #: Virtual per-frame overhead of running one (unfused) operator.
 OPERATOR_OVERHEAD_MS = 0.02
@@ -72,8 +71,8 @@ class FrameFilterOp(Operator):
         self.model_name = model_name
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
-        model = ctx.model(self.model_name)
-        if not evaluate_frame_filter(model, graph.frame, ctx.clock):
+        keep, _ = ctx.frame_filter(self.model_name, graph.frame)
+        if not keep:
             graph.dropped = True
         return graph
 
@@ -92,11 +91,10 @@ class DetectorOp(Operator):
 
     kind = "object_detector"
 
-    def __init__(self, variable: VObj, model_name: str, min_score: float = 0.0) -> None:
+    def __init__(self, variable: VObj, model_name: str) -> None:
         super().__init__(f"{model_name}[{variable.var_name}]")
         self.variable = variable
         self.model_name = model_name
-        self.min_score = min_score
         self.class_names = tuple(type(variable).class_names)
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
@@ -107,8 +105,6 @@ class DetectorOp(Operator):
         detections = ctx.detect(self.model_name, graph.frame)
         for det in detections:
             if self.class_names and det.class_name not in self.class_names:
-                continue
-            if det.score < self.min_score:
                 continue
             state = ctx.vobj_state(vobj_type, det, graph.frame)
             graph.add_node(self.variable, state)

@@ -79,13 +79,6 @@ class PlannerConfig:
     canary_frames: int = 40
     #: Minimum acceptable F1 (relative to the most-general plan) for a candidate.
     accuracy_target: float = 0.9
-    #: Frame batch size for VideoReader.batches() consumers.  The adaptive
-    #: scan scheduler decides per frame (so early exit stops at the exact
-    #: determining frame) and therefore ignores this; bulk decode paths and
-    #: baselines still honour it.
-    batch_size: int = 8
-    #: Minimum detection score for an object to enter the pipeline.
-    min_score: float = 0.0
     #: Hoist each plan's frame filters into the scan scheduler's batch-level
     #: gate: one evaluation per distinct filter model per frame, per-stream
     #: skip masks (off = PR-1 behaviour, filters inside every pipeline).
@@ -104,11 +97,6 @@ class PlannerConfig:
     stride_iou_tol: float = 0.5
     #: Consecutive predictable frames required before each stride doubling.
     stride_stable_frames: int = 3
-    #: Gate/stride-aware candidate pricing: hoisted frame filters shared
-    #: across the batch are priced once per batch instead of once per plan,
-    #: and detector cost is discounted by the expected sampling rate.  Off =
-    #: the PR-2 behaviour (every candidate priced as if executed alone).
-    enable_gate_aware_costs: bool = True
     #: The cost model's prior for the fraction of a workload's frames that
     #: are tracker-predictable (drives the expected sampling discount).
     stride_stable_fraction: float = 0.5
@@ -136,11 +124,11 @@ class PlannerConfig:
     #: Fault-tolerant execution (:mod:`repro.faults`): deterministic fault
     #: injection, retried model invocations with clock-charged backoff,
     #: per-model timeout budgets and circuit breakers, graceful frame
-    #: degradation, and scan checkpoint/resume.  Off = no fault objects are
-    #: created and results are byte-identical.
+    #: degradation, and scan checkpoint/resume.  Off = every scan shares the
+    #: inert fault layer, which just calls, and results are byte-identical.
     enable_fault_tolerance: bool = False
     #: Fault model + resilience tuning (rates, retries, breaker, checkpoint
-    #: interval); its ``enabled`` field is overridden by the switch above.
+    #: interval); read only when the switch above is on.
     fault_config: FaultConfig = FaultConfig()
     #: Live push-driven ingestion (:mod:`repro.backend.live`): standing
     #: queries over an unbounded paced feed, immediate alert emission,
@@ -149,17 +137,17 @@ class PlannerConfig:
     #: only; no live objects are created and results are byte-identical.
     enable_live: bool = False
     #: Live ingestion tuning (queue cap, pressure thresholds, reorder
-    #: window, watchdog/reconnect); its ``enabled`` field is overridden by
-    #: the switch above.
+    #: window, watchdog/reconnect); read only by a live session.
     live_config: LiveConfig = LiveConfig()
     #: Persistent video index (:mod:`repro.index`): cache detector outputs,
     #: frame-filter verdicts, and re-id embeddings per (video, model, model
     #: version) across sessions, so a re-query over an already-indexed video
-    #: never re-invokes a model on an indexed frame.  Off = no index objects
-    #: are created and execution is byte-identical.
+    #: never re-invokes a model on an indexed frame.  Off = every execution
+    #: shares the inert index view, whose lookups miss, and execution is
+    #: byte-identical.
     enable_video_index: bool = False
-    #: Index tuning (storage path, observed-statistics consumption); its
-    #: ``enabled`` field is overridden by the switch above.
+    #: Index tuning (storage path, observed-statistics consumption); read
+    #: only when the switch above is on.
     index_config: IndexConfig = IndexConfig()
 
     def accuracy(self) -> AccuracyTarget:
@@ -168,7 +156,6 @@ class PlannerConfig:
     def reid(self) -> "ReidConfig":
         """The cross-camera re-identification knobs as a ReidConfig."""
         return ReidConfig(
-            enabled=self.enable_cross_camera_reid,
             threshold=self.reid_threshold,
             assignment=self.reid_assignment,
             max_clock_skew_s=self.max_clock_skew_s,
@@ -189,18 +176,6 @@ class PlannerConfig:
             enabled=self.enable_tracing,
             max_decision_records=self.obs_max_decision_records,
         )
-
-    def faults(self) -> "FaultConfig":
-        """The fault-tolerance knobs as a FaultConfig."""
-        return replace(self.fault_config, enabled=self.enable_fault_tolerance)
-
-    def live(self) -> "LiveConfig":
-        """The live-ingestion knobs as a LiveConfig."""
-        return replace(self.live_config, enabled=self.enable_live)
-
-    def index(self) -> "IndexConfig":
-        """The persistent-video-index knobs as an IndexConfig."""
-        return replace(self.index_config, enabled=self.enable_video_index)
 
 
 class Planner:
@@ -325,7 +300,7 @@ class Planner:
     ) -> List[Operator]:
         """Operators for one variable: detect, track, project/filter interleaved."""
         cfg = self.config
-        ops: List[Operator] = [DetectorOp(info.variable, detector_model, min_score=cfg.min_score)]
+        ops: List[Operator] = [DetectorOp(info.variable, detector_model)]
 
         needs_tracker = info.requires_tracking or (cfg.enable_reuse and info.intrinsic_properties)
         if needs_tracker and not info.is_scene:
@@ -501,7 +476,7 @@ class Planner:
         # mates sharing its filters, so the batch's filter multiplicities are
         # part of the cache identity.
         batch_signature: Tuple = ()
-        if self.config.enable_scan_gating and self.config.enable_gate_aware_costs:
+        if self.config.enable_scan_gating:
             batch_signature = tuple(sorted(self._batch_filter_counts.items()))
         # Keyed on the query's structure, not its class: two instances of one
         # class with different thresholds plan differently, and unrelated
@@ -541,7 +516,7 @@ class Planner:
         profile charged this candidate the full solo cost, so ``(1 - 1/k)``
         of the measured filter time is not marginal cost of choosing it.
         """
-        if not (self.config.enable_scan_gating and self.config.enable_gate_aware_costs):
+        if not self.config.enable_scan_gating:
             return 0.0
         shared = 0.0
         for op in candidate.frame_filters:
@@ -563,7 +538,7 @@ class Planner:
         prior otherwise.
         """
         cfg = self.config
-        if not (cfg.enable_stride_sampling and cfg.enable_gate_aware_costs):
+        if not cfg.enable_stride_sampling:
             return 0.0
         if candidate.tracked_detector_pairs() is None:
             return 0.0
@@ -584,8 +559,8 @@ class Planner:
         """
         if video is None or self._index_store is None:
             return None
-        index_cfg = self.config.index()
-        if not (index_cfg.enabled and index_cfg.use_observed_stats):
+        index_cfg = self.config.index_config
+        if not (self.config.enable_video_index and index_cfg.use_observed_stats):
             return None
         from repro.index.schema import video_key
 

@@ -32,10 +32,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.common.clock import SimClock
 from repro.common.errors import ExecutionError
 from repro.common.geometry import BBox
+from repro.faults.resilience import NO_FAULTS
 from repro.frontend.properties import PropertySpec
 from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
+from repro.index.store import NO_INDEX
 from repro.models.base import Detection
+from repro.models.framefilters import evaluate_frame_filter
 from repro.models.zoo import ModelZoo
 from repro.obs.core import DISABLED, Obs
 from repro.videosim.video import Frame, SyntheticVideo
@@ -160,7 +163,7 @@ class VObjState:
 
         if spec.is_model_backed:
             model = self.context.property_model(spec.model)
-            value = self.context.invoke_model(
+            value = self.context.faults.invoke(
                 spec.model,
                 self.frame.frame_id,
                 lambda: model.predict(self.detection, self.frame, self.context.clock),
@@ -193,7 +196,7 @@ class VObjState:
         if spec.is_model_backed:
             model = self.context.property_model(spec.model)
             args = histories[0] if len(histories) == 1 else histories
-            return self.context.invoke_model(
+            return self.context.faults.invoke(
                 spec.model,
                 self.frame.frame_id,
                 lambda: model.predict(args, clock=self.context.clock),
@@ -354,14 +357,15 @@ class ExecutionContext:
         #: Observability bundle (:class:`repro.obs.Obs`) set by the executor;
         #: the shared disabled bundle unless tracing is on.
         self.obs: Obs = DISABLED
-        #: Fault layer (:class:`repro.faults.FaultManager`) set by the
-        #: executor when fault tolerance is enabled; None = every model
-        #: invocation runs bare (the default, byte-identical fast path).
-        self.faults: Optional[Any] = None
-        #: Persistent-index view (:class:`repro.index.store.IndexView`) set
-        #: by the session when the video index is enabled; None = models are
-        #: always invoked live (the default, byte-identical fast path).
-        self.index: Optional[Any] = None
+        #: Fault layer every model invocation runs through: the scan's
+        #: :class:`repro.faults.FaultManager` when fault tolerance is on
+        #: (its ``TransientModelError`` becomes frame degradation), else the
+        #: shared inert :data:`repro.faults.NO_FAULTS`, which just calls.
+        self.faults: Any = NO_FAULTS
+        #: Persistent-index view: an :class:`repro.index.store.IndexView`
+        #: set by the session when the video index is on, else the shared
+        #: inert :data:`repro.index.store.NO_INDEX`, whose lookups miss.
+        self.index: Any = NO_INDEX
 
         #: Last *real* (tracker-observed) detection per track id, plus the
         #: frame each track was first seen on.  These survive frame-cache
@@ -408,19 +412,27 @@ class ExecutionContext:
     def property_model(self, name: str) -> Any:
         return self.model(name)
 
-    def invoke_model(self, model_name: str, frame_id: int, fn, kind: str = "model"):
-        """Run one model invocation, through the fault layer when present.
+    def frame_filter(self, model_name: str, frame: Frame) -> Tuple[bool, bool]:
+        """One frame-filter verdict: ``(keep, served_from_index)``.
 
-        With fault tolerance off this is a plain call; with it on, the
-        :class:`~repro.faults.FaultManager` adds injection, bounded retries
-        with clock-charged backoff, timeout budgets, and circuit breaking.
-        A permanently failed invocation surfaces as
-        :class:`~repro.common.errors.TransientModelError`, which the scan
-        scheduler turns into frame degradation.
+        A persisted verdict replaces the invocation entirely.  Otherwise the
+        filter runs through the fault layer and its verdict is written
+        through to the index.  The scan gate and the in-pipeline
+        ``FrameFilterOp`` both call this, so gating never decides whether
+        a filter sees faults or the index.
         """
-        if self.faults is None:
-            return fn()
-        return self.faults.invoke(model_name, frame_id, fn, kind=kind)
+        cached = self.index.lookup_filter_verdict(model_name, frame.frame_id)
+        if cached is not None:
+            return cached, True
+        model = self.model(model_name)
+        keep = self.faults.invoke(
+            model_name,
+            frame.frame_id,
+            lambda: evaluate_frame_filter(model, frame, self.clock),
+            kind="frame-filter",
+        )
+        self.index.record_filter_verdict(model_name, frame.frame_id, keep)
+        return keep, False
 
     def charge_python(self, prop_name: str) -> None:
         self.clock.charge(f"python:{prop_name}", PYTHON_PROPERTY_MS)
@@ -433,16 +445,15 @@ class ExecutionContext:
         per_frame = self._detections.setdefault(frame.frame_id, {})
         if model_name not in per_frame:
             index = self.index
-            if index is not None:
-                cached = index.lookup_detections(model_name, frame.frame_id)
-                if cached is not None:
-                    # Served from the persistent index: no model invocation,
-                    # no clock charge — the whole point of indexing.
-                    per_frame[model_name] = cached
-                    return cached
+            cached = index.lookup_detections(model_name, frame.frame_id)
+            if cached is not None:
+                # Served from the persistent index: no model invocation,
+                # no clock charge — the whole point of indexing.
+                per_frame[model_name] = cached
+                return cached
 
             def run() -> List[Detection]:
-                return self.invoke_model(
+                return self.faults.invoke(
                     model_name,
                     frame.frame_id,
                     lambda: self.model(model_name).detect(frame, self.clock),
@@ -459,7 +470,7 @@ class ExecutionContext:
             ):
                 per_frame[model_name] = run()
             obs.metrics.inc("detector_invocations", model=model_name)
-            if index is not None and frame.frame_id not in self.seeded_frames:
+            if frame.frame_id not in self.seeded_frames:
                 # Write-through as a side effect of scanning.  Seeded frames
                 # never reach here (their caches are pre-populated), but the
                 # guard keeps the provenance contract explicit: synthesized
@@ -557,7 +568,7 @@ class ExecutionContext:
         key = (model_name, subject, object_)
         if key not in per_frame:
             model = self.model(model_name)
-            preds = self.invoke_model(
+            preds = self.faults.invoke(
                 model_name,
                 frame.frame_id,
                 lambda: model.predict([subject], [object_], frame, self.clock),

@@ -71,8 +71,6 @@ from repro.backend.streaming import PlanStream, QueryStream, _stream_query_name
 from repro.common.config import StrideConfig
 from repro.common.errors import TransientModelError
 from repro.models.base import Detection
-from repro.models.framefilters import evaluate_frame_filter
-from repro.obs.core import DISABLED, Obs
 from repro.videosim.video import Frame
 
 #: A (tracker model, detector model) pair, the unit of stride validation.
@@ -155,15 +153,22 @@ class FrameGate:
     matching the in-pipeline semantics for any single plan.
     """
 
-    def __init__(self, ctx: ExecutionContext, stats: ScanStats, obs: Obs = DISABLED) -> None:
+    def __init__(self, ctx: ExecutionContext, stats: ScanStats) -> None:
         self.ctx = ctx
         self.stats = stats
-        self.obs = obs
+        self.obs = ctx.obs
         #: frame_id -> {filter model name -> keep decision}.
         self._decisions: Dict[int, Dict[str, bool]] = {}
 
     def admits(self, leaf: PlanStream, frame: Frame) -> bool:
-        """True when every filter of the leaf's plan keeps the frame."""
+        """True when every filter of the leaf's plan keeps the frame.
+
+        A filter whose model is down past retries propagates
+        :class:`~repro.common.errors.TransientModelError`; the scheduler
+        fails *closed* (treats the frame as rejected and marks it
+        degraded), so a faulty filter can never admit frames the fault-free
+        scan would have gated out.
+        """
         filters = leaf.gate_filters
         if not filters:
             return True
@@ -175,18 +180,6 @@ class FrameGate:
                 # FrameFilterOp would have, so single-plan cost accounting
                 # (and canary profiling) is unchanged by the hoist.
                 self.ctx.clock.charge("operator_overhead", OPERATOR_OVERHEAD_MS)
-                index = self.ctx.index
-                if index is not None:
-                    cached = index.lookup_filter_verdict(op.model_name, frame.frame_id)
-                    if cached is not None:
-                        # A persisted verdict replaces the filter invocation
-                        # entirely; it memoises like a live evaluation so
-                        # later leaves sharing the filter still hit the memo.
-                        per_frame[op.model_name] = cached
-                        self.stats.gate_cache_hits += 1
-                        if not cached:
-                            return False
-                        continue
                 virt_start = self.ctx.clock.snapshot()
                 with self.obs.tracer.span(
                     "frame-gate-eval",
@@ -194,39 +187,22 @@ class FrameGate:
                     model=op.model_name,
                     frame=frame.frame_id,
                 ):
-                    decision = self._evaluate(op.model_name, frame)
-                self.obs.metrics.observe(
-                    "gate_eval_ms", self.ctx.clock.since(virt_start), model=op.model_name
-                )
+                    decision, indexed = self.ctx.frame_filter(op.model_name, frame)
+                # A persisted verdict memoises like a live evaluation, so
+                # later leaves sharing the filter still hit the memo.
                 per_frame[op.model_name] = decision
-                self.stats.gate_evaluations += 1
-                if index is not None:
-                    index.record_filter_verdict(op.model_name, frame.frame_id, decision)
+                if indexed:
+                    self.stats.gate_cache_hits += 1
+                else:
+                    self.obs.metrics.observe(
+                        "gate_eval_ms", self.ctx.clock.since(virt_start), model=op.model_name
+                    )
+                    self.stats.gate_evaluations += 1
             else:
                 self.stats.gate_cache_hits += 1
             if not decision:
                 return False
         return True
-
-    def _evaluate(self, model_name: str, frame: Frame) -> bool:
-        """Run one frame-filter model, through the fault layer when present.
-
-        An exhausted/open-circuit filter propagates a
-        :class:`~repro.common.errors.TransientModelError`; the scheduler fails
-        *closed* (treats the frame as rejected and marks it degraded), so a
-        faulty filter can never admit frames the fault-free scan would have
-        gated out.
-        """
-        model = self.ctx.model(model_name)
-        faults = getattr(self.ctx, "faults", None)
-        if faults is None:
-            return evaluate_frame_filter(model, frame, self.ctx.clock)
-        return faults.invoke(
-            model_name,
-            frame.frame_id,
-            lambda: evaluate_frame_filter(model, frame, self.ctx.clock),
-            kind="frame-filter",
-        )
 
     def rejecting_model(self, leaf: PlanStream, frame_id: int) -> Optional[str]:
         """The filter model that rejected this frame for the leaf, if any.
@@ -356,19 +332,15 @@ class ScanScheduler:
         self,
         streams: Sequence[QueryStream],
         ctx: ExecutionContext,
-        gating: bool = True,
         early_exit: bool = True,
         stride: Optional[StrideConfig] = None,
-        obs: Obs = DISABLED,
-        faults: Optional[Any] = None,
     ) -> None:
         self.streams = list(streams)
         self.ctx = ctx
         self.early_exit = early_exit
-        self.obs = obs
-        self.faults = faults
+        self.obs = ctx.obs
         self.stats = ScanStats()
-        self.gate: Optional[FrameGate] = FrameGate(ctx, self.stats, obs=obs) if gating else None
+        self.gate = FrameGate(ctx, self.stats)
         self.stride_cfg: Optional[StrideConfig] = (
             stride if stride is not None and stride.enabled and stride.max_stride > 1 else None
         )
@@ -401,28 +373,22 @@ class ScanScheduler:
 
     def step(self, frame: Frame) -> bool:
         """Process one frame; returns False when the scan should stop."""
-        if self.faults is not None:
-            # Scan-level faults surface before the frame counts as scanned: a
-            # dead feed raises FeedFailedError (handled by per-feed isolation),
-            # a one-shot crash raises ExecutionError (handled by
-            # checkpoint/resume).
-            self.faults.check_feed_death(frame.frame_id)
-            self.faults.check_crash(frame.frame_id)
+        # Scan-level faults surface before the frame counts as scanned: a
+        # dead feed or a one-shot crash raises here.
+        frame_fault = self.ctx.faults.scan_frame(frame.frame_id)
         self._last_frame_id = frame.frame_id
         self.stats.frames_scanned += 1
 
-        if self.faults is not None:
-            frame_fault = self.faults.frame_fault(frame.frame_id)
-            if frame_fault is not None:
-                reason = f"frame-{frame_fault}"
-                # The frame's detection payload is never trusted, so it
-                # cannot validate a deferred gap: replay each cohort's gap
-                # in full first, so groupers and trackers see frames in order.
-                for cohort in list(self._cohorts):
-                    if cohort.pending and not self._resolve_gap(cohort, reason):
-                        return False
-                self._run_frame(frame, unobserved=Unobserved(reason))
-                return self._finish_frame(frame)
+        if frame_fault is not None:
+            reason = f"frame-{frame_fault}"
+            # The frame's detection payload is never trusted, so it cannot
+            # validate a deferred gap: replay each cohort's gap in full
+            # first, so groupers and trackers see frames in order.
+            for cohort in list(self._cohorts):
+                if cohort.pending and not self._resolve_gap(cohort, reason):
+                    return False
+            self._run_frame(frame, unobserved=Unobserved(reason))
+            return self._finish_frame(frame)
 
         sampling: Optional[List[StrideCohort]] = None
         verdicts: Optional[Dict[QueryStream, bool]] = None
@@ -628,7 +594,7 @@ class ScanScheduler:
             # The gate applies on every frame.  Its filters are scene-level
             # and deterministic, so a rejection matches the fault-free
             # stride-1 scan: it counts as gated, never as degraded.
-            if self.gate is not None and not self.gate.admits(leaf, frame):
+            if not self.gate.admits(leaf, frame):
                 leaf.skip_frame(frame)
                 self._note_gated(leaf, frame)
                 return False
@@ -803,7 +769,7 @@ class ScanScheduler:
         for leaf in cohort.leaves:
             if detector_name not in leaf.detector_models:
                 continue
-            if self.gate is None or self.gate.admits(leaf, frame):
+            if self.gate.admits(leaf, frame):
                 return True
         return False
 
@@ -956,8 +922,7 @@ class ScanScheduler:
         """Evict caches for every unreleased frame id up to ``horizon``."""
         while self._release_cursor <= horizon:
             self.ctx.release_frame(self._release_cursor)
-            if self.gate is not None:
-                self.gate.release_frame(self._release_cursor)
+            self.gate.release_frame(self._release_cursor)
             self._release_cursor += 1
 
     def _retire_done(self) -> None:

@@ -74,11 +74,10 @@ class QuerySession:
         #: MultiCameraSession, or successive sessions over one corpus)
         #: share a single store; otherwise an enabled config builds one
         #: from its path (None path = in-memory, process-lifetime).
-        index_cfg = self.config.index()
         if index_store is not None:
             self.index_store: Optional[VideoIndexStore] = index_store
-        elif index_cfg.enabled:
-            self.index_store = VideoIndexStore(index_cfg.path)
+        elif self.config.enable_video_index:
+            self.index_store = VideoIndexStore(self.config.index_config.path)
         else:
             self.index_store = None
         self.planner = Planner(self.zoo, self.config, index_store=self.index_store)
@@ -284,9 +283,10 @@ class MultiCameraSession:
         #: One persistent index shared by every feed (the store's write path
         #: is locked, so concurrent per-feed scans interleave safely); None
         #: when the video index is disabled.
-        index_cfg = self.config.index()
         self.index_store: Optional[VideoIndexStore] = (
-            VideoIndexStore(index_cfg.path) if index_cfg.enabled else None
+            VideoIndexStore(self.config.index_config.path)
+            if self.config.enable_video_index
+            else None
         )
         self.sessions: Dict[str, QuerySession] = {
             name: QuerySession(

@@ -272,6 +272,7 @@ class PlanStream(QueryStream):
     scheduler's batch-level :class:`~repro.backend.scheduler.FrameGate`,
     which evaluates each distinct filter model once per frame for the whole
     batch and calls :meth:`skip_frame` on every leaf whose gate rejects it.
+    Without, :attr:`gate_filters` is empty and the gate admits every frame.
     """
 
     def __init__(
@@ -283,7 +284,6 @@ class PlanStream(QueryStream):
     ) -> None:
         self.plan = plan
         self.executor = executor
-        self.gated = gated
         #: Frame-filter operators hoisted out of the pipeline (gated mode).
         self.gate_filters = list(plan.frame_filters) if gated else []
         #: Detector models this leaf runs per frame (stride-sampler probes).

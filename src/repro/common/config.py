@@ -68,16 +68,16 @@ class StrideConfig:
 class ReidConfig:
     """Cross-camera re-identification knobs (:mod:`repro.backend.crosscamera`).
 
-    When enabled, :class:`~repro.backend.session.MultiCameraSession` links
-    the tracks of its feeds after each execution: every track's cached (or
-    freshly computed) re-id embedding is cosine-matched against a gallery of
-    global identities, camera by camera, and the resulting identity labels
-    are threaded into the merged results (``global_tracks`` /
-    ``global_events`` / the cross-camera temporal operator).  Off by default:
-    the disabled path is byte-identical to the single-feed merge.
+    With ``PlannerConfig(enable_cross_camera_reid=True)``,
+    :class:`~repro.backend.session.MultiCameraSession` links the tracks of
+    its feeds after each execution: every track's cached (or freshly
+    computed) re-id embedding is cosine-matched against a gallery of global
+    identities, camera by camera, and the resulting identity labels are
+    threaded into the merged results (``global_tracks`` /
+    ``global_events`` / the cross-camera temporal operator).  Off by
+    default: the disabled path is byte-identical to the single-feed merge.
     """
 
-    enabled: bool = False
     #: Minimum cosine similarity for a track to join an existing identity.
     threshold: float = 0.7
     #: Assignment strategy when several tracks compete for the same gallery
@@ -145,17 +145,18 @@ class ObsConfig:
 class FaultConfig:
     """Fault-injection and fault-tolerance knobs (:mod:`repro.faults`).
 
-    When enabled, a deterministic :class:`~repro.faults.injection.FaultInjector`
-    (seeded via :mod:`repro.common.rng`, keyed by (seed, feed, model, frame,
-    attempt) so decisions are invocation-order independent) injects the
-    configured fault mix, and every model invocation runs through the
-    resilient invoker: bounded retries with exponential backoff + jitter
-    charged to the ``SimClock``, per-model timeout budgets, and per-model
-    circuit breakers.  Off by default: the disabled path creates no fault
-    objects and is byte-identical.
+    With ``PlannerConfig(enable_fault_tolerance=True)``, a deterministic
+    :class:`~repro.faults.injection.FaultInjector` (seeded via
+    :mod:`repro.common.rng`, keyed by (seed, feed, model, frame, attempt)
+    so decisions are invocation-order independent) injects the configured
+    fault mix, and every model invocation runs through the resilient
+    invoker: bounded retries with exponential backoff + jitter charged to
+    the ``SimClock``, per-model timeout budgets, and per-model circuit
+    breakers.  Off by default: every scan shares the inert
+    :data:`~repro.faults.resilience.NO_FAULTS`, which just calls, so
+    results are byte-identical.
     """
 
-    enabled: bool = False
     #: Seed for the fault stream (independent of the video/model seeds).
     seed: int = 0
     #: Probability that one model invocation attempt fails transiently.
@@ -228,7 +229,8 @@ class FaultConfig:
 class LiveConfig:
     """Live push-driven ingestion knobs (:mod:`repro.backend.live`).
 
-    When enabled, a :class:`~repro.backend.live.LiveSession` keeps standing
+    With ``PlannerConfig(enable_live=True)``, a
+    :class:`~repro.backend.live.LiveSession` keeps standing
     queries registered against frames arriving from a paced source: events
     are emitted to alert sinks the moment they close, the ingest queue is
     hard-capped, and overload sheds *accuracy* before frames — queue-depth
@@ -237,7 +239,6 @@ class LiveConfig:
     batch execution never consults this config and is byte-identical.
     """
 
-    enabled: bool = False
     #: Hard cap on frames buffered between admission and dispatch (the
     #: re-order buffer and the ready queue together).  Admitting a frame
     #: past the cap sheds the oldest undispatched frame.
@@ -306,19 +307,19 @@ class LiveConfig:
 class IndexConfig:
     """Persistent video index knobs (:mod:`repro.index`).
 
-    When enabled, every execution consults a :class:`~repro.index.store.
-    VideoIndexStore` before invoking a model on a frame and writes fresh
-    results through as a side effect of scanning: detector outputs,
-    frame-filter verdicts, and re-id embeddings are keyed by ``(video,
-    model, model version)``, so a later session over the same video serves
-    them from the index instead of re-running the model.  The index also
-    records each video's observed tracker-stable fraction, which the
-    planner's cost model uses in place of its ``stride_stable_fraction``
-    prior.  Off by default: no index objects are created and
-    execution is byte-identical to an index-free run.
+    With ``PlannerConfig(enable_video_index=True)``, every execution
+    consults a :class:`~repro.index.store.VideoIndexStore` before invoking
+    a model on a frame and writes fresh results through as a side effect of
+    scanning: detector outputs, frame-filter verdicts, and re-id embeddings
+    are keyed by ``(video, model, model version)``, so a later session over
+    the same video serves them from the index instead of re-running the
+    model.  The index also records each video's observed tracker-stable
+    fraction, which the planner's cost model uses in place of its
+    ``stride_stable_fraction`` prior.  Off by default: every execution
+    shares the inert :data:`~repro.index.store.NO_INDEX` view, whose
+    lookups miss, so execution is byte-identical to an index-free run.
     """
 
-    enabled: bool = False
     #: Path of the JSON index file; None keeps the index in memory only
     #: (shared across executions within the process, never written to disk).
     path: Optional[str] = None

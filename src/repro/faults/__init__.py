@@ -1,8 +1,9 @@
 """Deterministic fault injection and fault-tolerant execution.
 
 The fault layer has three parts, all behind
-``PlannerConfig(enable_fault_tolerance=True)`` (default off, byte-identical
-disabled):
+``PlannerConfig(enable_fault_tolerance=True)``.  Off by default: every scan
+then shares the inert :data:`~repro.faults.resilience.NO_FAULTS`, which
+runs each model once and injects nothing, so results are byte-identical.
 
 * :mod:`repro.faults.injection` — a seeded, invocation-order-independent
   :class:`FaultInjector` that decides, per (feed, model, frame, attempt),
@@ -22,12 +23,14 @@ See ``docs/robustness.md`` for the fault model and guarantees.
 
 from repro.faults.checkpoint import ScanCheckpoint, ScanCheckpointer
 from repro.faults.injection import FaultInjector
-from repro.faults.resilience import CircuitBreaker, FaultManager
+from repro.faults.resilience import NO_FAULTS, CircuitBreaker, FaultManager, InertFaults
 
 __all__ = [
     "CircuitBreaker",
     "FaultInjector",
     "FaultManager",
+    "InertFaults",
+    "NO_FAULTS",
     "ScanCheckpoint",
     "ScanCheckpointer",
 ]

@@ -145,8 +145,7 @@ class ScanCheckpointer:
         # The snapshot's stats predate every resume: count them all here, or
         # a second resume from the same checkpoint would drop the first.
         scheduler.stats.scan_resumes = self.resumes_used
-        if scheduler.faults is not None:
-            scheduler.faults.stats = scheduler.stats
+        ctx.faults.bind_stats(scheduler.stats)
         scheduler.obs.decisions.record(
             "scan-resumed",
             "crash-recovery",
@@ -161,9 +160,7 @@ class ScanCheckpointer:
     def _shared_objects(scheduler: Any) -> Tuple[Any, ...]:
         """Everything the snapshot must reference by identity, not copy."""
         ctx = scheduler.ctx
-        shared = [ctx, ctx.video, ctx.zoo, ctx.clock, ctx.obs]
-        if scheduler.faults is not None:
-            shared.append(scheduler.faults)
+        shared = [ctx, ctx.video, ctx.zoo, ctx.clock, ctx.obs, ctx.faults, ctx.index]
         for stream in scheduler.streams:
             for leaf in stream.plan_streams():
                 shared.append(leaf.executor)

@@ -1,10 +1,11 @@
 """Resilient model invocation: retries, backoff, timeouts, circuit breakers.
 
 Every ``model.detect(...)`` / property-model / frame-filter invocation runs
-through :meth:`FaultManager.invoke` when fault tolerance is enabled.  The
-manager is per-feed (each feed's scan builds its own), so breaker state and
-retry counters never interleave across worker threads — the chaos suite
-relies on that for ``max_workers`` determinism.
+through the execution context's fault layer.  With fault tolerance enabled
+that is a :class:`FaultManager`, built per feed (each feed's scan builds its
+own), so breaker state and retry counters never interleave across worker
+threads — the chaos suite relies on that for ``max_workers`` determinism.
+With it disabled it is :data:`NO_FAULTS`, which just calls.
 
 Failure semantics:
 
@@ -100,9 +101,13 @@ class FaultManager:
         self.obs = obs
         self.injector = FaultInjector(config, feed=feed)
         #: The scan's counters.  A standalone manager keeps its own; the
-        #: executor and the live session swap in the scheduler's.
+        #: scan that uses it binds the scheduler's (:meth:`bind_stats`).
         self.stats = ScanStats()
         self._breakers: Dict[str, CircuitBreaker] = {}
+
+    def bind_stats(self, stats: "ScanStats") -> None:
+        """Count into the scan's ``ScanStats`` (rebound after a resume)."""
+        self.stats = stats
 
     def _count_fault(self, kind: str) -> None:
         self.stats.faults_injected += 1
@@ -115,9 +120,6 @@ class FaultManager:
             breaker = CircuitBreaker(self.config.breaker_threshold, self.config.breaker_cooldown_ms)
             self._breakers[model_name] = breaker
         return breaker
-
-    def breaker_states(self) -> Dict[str, str]:
-        return {name: b.state for name, b in sorted(self._breakers.items())}
 
     # ---------------------------------------------------------- invocation --
     def invoke(self, model_name: str, frame_id: int, fn: Callable[[], T], kind: str = "model") -> T:
@@ -215,11 +217,14 @@ class FaultManager:
             self.clock.charge("fault-backoff", delay)
 
     # --------------------------------------------------------- scan faults --
-    def frame_fault(self, frame_id: int) -> Optional[str]:
-        """``"dropped"`` / ``"corrupted"`` / None (same draw as the reader hook)."""
-        return self.injector.frame_fault(frame_id)
+    def scan_frame(self, frame_id: int) -> Optional[str]:
+        """The frame's scan-level fault: ``"dropped"`` / ``"corrupted"`` / None.
 
-    def check_feed_death(self, frame_id: int) -> None:
+        Raises first when the feed is dead (:class:`FeedFailedError`, handled
+        by per-feed isolation) or crashes here (:class:`ExecutionError`,
+        handled by checkpoint/resume).  The frame fault is the same draw as
+        the reader hook's.
+        """
         died_at = self.injector.feed_death_frame(frame_id)
         if died_at is not None:
             self._count_fault("feed-death")
@@ -228,14 +233,40 @@ class FaultManager:
                 feed=self.feed,
                 frame_id=died_at,
             )
-
-    def check_crash(self, frame_id: int) -> None:
         if self.injector.crash_now(frame_id):
             self._count_fault("crash")
             raise ExecutionError(
                 f"injected scan crash on feed {self.feed!r} at frame {frame_id}"
             )
+        return self.injector.frame_fault(frame_id)
 
     def reader_hook(self, frame):
         """``videosim`` per-frame hook (see :meth:`FaultInjector.reader_hook`)."""
         return self.injector.reader_hook(frame)
+
+
+class InertFaults:
+    """The fault layer of a scan without fault tolerance: it just calls.
+
+    ``invoke`` runs the model once, ``scan_frame`` finds no frame fault,
+    feed death or crash, and the reader hook passes frames through.  It holds no
+    state, so every scan and thread shares :data:`NO_FAULTS`.
+    """
+
+    __slots__ = ()
+
+    def invoke(self, model_name: str, frame_id: int, fn: Callable[[], T], kind: str = "model") -> T:
+        return fn()
+
+    def bind_stats(self, stats: object) -> None:
+        pass
+
+    def scan_frame(self, frame_id: int) -> Optional[str]:
+        return None
+
+    def reader_hook(self, frame):
+        return frame
+
+
+#: The shared fault layer of every scan that runs without fault tolerance.
+NO_FAULTS = InertFaults()

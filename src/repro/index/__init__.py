@@ -4,13 +4,15 @@ Scanning a video is expensive because of the models, not the queries: two
 different queries over the same clip re-run the same detector on the same
 frames and re-embed the same tracks.  The index persists those per-frame
 model results — detector outputs, frame-filter verdicts, re-id embeddings,
-plus per-track summaries and per-video scan statistics — keyed by
+plus per-video scan statistics — keyed by
 ``(video, model, model version)``, so any later session over the same video
 serves them from the index instead of re-invoking the model.
 
 Enable with ``PlannerConfig(enable_video_index=True)`` (tune via
-:class:`~repro.common.config.IndexConfig`).  Off by default: no index
-objects are created and execution is byte-identical to an index-free run.
+:class:`~repro.common.config.IndexConfig`).  Off by default: every
+execution then shares the inert :data:`~repro.index.store.NO_INDEX` view,
+whose lookups miss and whose records are dropped, so execution is
+byte-identical to an index-free run.
 """
 
 from repro.index.schema import (
@@ -21,11 +23,13 @@ from repro.index.schema import (
     model_version,
     video_key,
 )
-from repro.index.store import IndexView, VideoIndexStore
+from repro.index.store import NO_INDEX, IndexView, InertIndexView, VideoIndexStore
 
 __all__ = [
     "SCHEMA_VERSION",
     "IndexView",
+    "InertIndexView",
+    "NO_INDEX",
     "VideoIndexStore",
     "detection_from_record",
     "detection_key",

@@ -13,7 +13,8 @@ JSON serialization is deterministic regardless of write order
 Sessions never touch the store directly during a scan; they go through an
 :class:`IndexView` bound to one ``(video, zoo, obs)`` triple, which owns
 the model-version resolution, the hit/miss/stale/written counters that
-``explain()`` reports, and the observability hooks.
+``explain()`` reports, and the observability hooks.  A scan without the
+index goes through :data:`NO_INDEX`, whose lookups always miss.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import json
 import os
 import threading
 import warnings
-from typing import Any, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -304,3 +306,46 @@ class IndexView:
     def summary(self) -> Dict[str, Any]:
         """The counters ``explain()`` renders in its Index section."""
         return {"video": self.video_key, **self.counters}
+
+
+class InertIndexView:
+    """The index view of a scan without the index: nothing is persisted.
+
+    Every lookup misses, every record is dropped, ``counters`` are all zero
+    and ``summary()`` is None.  It holds no state, so every execution and
+    thread shares :data:`NO_INDEX`.
+    """
+
+    __slots__ = ()
+
+    counters: Mapping[str, int] = MappingProxyType(
+        {"hits": 0, "misses": 0, "stale": 0, "written": 0}
+    )
+
+    def lookup_detections(self, model_name: str, frame_id: int) -> None:
+        return None
+
+    def record_detections(self, model_name: str, frame_id: int, detections: List[Detection]) -> None:
+        pass
+
+    def lookup_filter_verdict(self, model_name: str, frame_id: int) -> None:
+        return None
+
+    def record_filter_verdict(self, model_name: str, frame_id: int, verdict: bool) -> None:
+        pass
+
+    def lookup_embedding(self, model_name: str, detection: Detection) -> None:
+        return None
+
+    def record_embedding(self, model_name: str, detection: Detection, embedding: Any) -> None:
+        pass
+
+    def finalize(self, ctx: Any, observe_stability: bool = False) -> None:
+        pass
+
+    def summary(self) -> None:
+        return None
+
+
+#: The shared index view of every execution that runs without the index.
+NO_INDEX = InertIndexView()

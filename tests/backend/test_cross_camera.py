@@ -172,7 +172,7 @@ def _profile(camera: str, track_id: int, embedding: np.ndarray, class_name: str 
 
 class TestReidMatcher:
     def test_same_embedding_links_across_cameras(self):
-        matcher = ReidMatcher(ReidConfig(enabled=True))
+        matcher = ReidMatcher(ReidConfig())
         links = matcher.link(
             {
                 "a": [_profile("a", 1, _unit(1.0)), _profile("a", 2, _unit(0.0, 1.0))],
@@ -188,14 +188,14 @@ class TestReidMatcher:
         # cos(e1, cos_t*e1 + sin_t*e2) == cos_t exactly.
         at = _unit(0.7, np.sqrt(1 - 0.49))
         below = _unit(0.69, np.sqrt(1 - 0.69**2))
-        matcher = ReidMatcher(ReidConfig(enabled=True, threshold=0.7))
+        matcher = ReidMatcher(ReidConfig(threshold=0.7))
         links = matcher.link({"a": [_profile("a", 1, _unit(1.0))], "b": [_profile("b", 1, at)]})
         assert links.global_id("a", 1) == links.global_id("b", 1)  # >= is a match
         links = matcher.link({"a": [_profile("a", 1, _unit(1.0))], "b": [_profile("b", 1, below)]})
         assert links.global_id("a", 1) != links.global_id("b", 1)
 
     def test_same_camera_tracks_never_share_an_identity(self):
-        matcher = ReidMatcher(ReidConfig(enabled=True))
+        matcher = ReidMatcher(ReidConfig())
         # Two near-identical tracks on ONE camera (a fragmented entity).
         links = matcher.link(
             {"a": [_profile("a", 1, _unit(1.0)), _profile("a", 2, _unit(0.999, 0.04))]}
@@ -203,7 +203,7 @@ class TestReidMatcher:
         assert links.global_id("a", 1) != links.global_id("a", 2)
 
     def test_class_mismatch_blocks_linking(self):
-        matcher = ReidMatcher(ReidConfig(enabled=True))
+        matcher = ReidMatcher(ReidConfig())
         links = matcher.link(
             {
                 "a": [_profile("a", 1, _unit(1.0), class_name="car")],
@@ -225,10 +225,10 @@ class TestReidMatcher:
         gallery_feed = {"a": [_profile("a", 1, g0), _profile("a", 2, g1)]}
         contenders = [_profile("b", 1, t0), _profile("b", 2, t1)]
 
-        hungarian = ReidMatcher(ReidConfig(enabled=True, threshold=0.5)).link(
+        hungarian = ReidMatcher(ReidConfig(threshold=0.5)).link(
             {**gallery_feed, "b": contenders}
         )
-        greedy = ReidMatcher(ReidConfig(enabled=True, threshold=0.5, assignment="greedy")).link(
+        greedy = ReidMatcher(ReidConfig(threshold=0.5, assignment="greedy")).link(
             {**gallery_feed, "b": contenders}
         )
         assert hungarian.num_identities == 2  # both contenders linked
@@ -236,7 +236,7 @@ class TestReidMatcher:
 
     def test_matching_work_is_charged_to_the_clock(self):
         clock = SimClock()
-        matcher = ReidMatcher(ReidConfig(enabled=True), clock=clock)
+        matcher = ReidMatcher(ReidConfig(), clock=clock)
         matcher.link(
             {
                 "a": [_profile("a", 1, _unit(1.0))],
@@ -246,7 +246,7 @@ class TestReidMatcher:
         assert clock.by_account["reid_matcher"] > 0
 
     def test_scores_record_founder_and_member_similarity(self):
-        matcher = ReidMatcher(ReidConfig(enabled=True, threshold=0.7))
+        matcher = ReidMatcher(ReidConfig(threshold=0.7))
         links = matcher.link(
             {
                 "a": [_profile("a", 1, _unit(1.0))],

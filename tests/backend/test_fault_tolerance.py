@@ -32,7 +32,7 @@ from repro.common.errors import (
     TransientModelError,
 )
 from repro.faults import CircuitBreaker, FaultManager, ScanCheckpointer
-from repro.frontend.builtin import Car
+from repro.frontend.builtin import Car, RedCar
 from repro.frontend.higher_order import DurationQuery
 from repro.frontend.properties import stateless
 from repro.frontend.query import Query
@@ -51,6 +51,13 @@ class RedCarQuery(Query):
 
     def frame_output(self):
         return (self.car.track_id, self.car.bbox)
+
+
+class GatedRedCarQuery(RedCarQuery):
+    """RedCar VObj: carries the registered ``no_red_on_road`` frame filter."""
+
+    def __init__(self):
+        self.car = RedCar("car")
 
 
 class MisconfiguredCar(Car):
@@ -229,6 +236,22 @@ class TestDegradationAccounting:
                 if event.start_frame <= frame_id <= event.end_frame:
                     assert frame_id in event.skipped_frames
         assert accounted <= degraded | set(base.matched_frames)
+
+    @pytest.mark.parametrize("gating", [True, False])
+    def test_dead_frame_filter_degrades_with_or_without_the_gate(self, gating):
+        """Every frame-filter invocation goes through the fault layer: a
+        dead filter degrades every frame whether the scan gate or the
+        in-pipeline FrameFilterOp evaluates it, and is never run."""
+        video = chaos_video(duration_s=5)
+        cfg = ft_config(
+            FaultConfig(dead_models=(("no_red_on_road", 0),)), enable_scan_gating=gating
+        )
+        session, result = run_single(video, cfg, GatedRedCarQuery())
+        stats = session.last_context.scan_stats
+        assert stats.frames_degraded == video.num_frames
+        assert stats.model_failures >= video.num_frames
+        assert session.last_context.clock.calls.get("no_red_on_road", 0) == 0
+        assert result.matched_frames == []
 
     def test_unknown_model_is_not_hidden_as_a_fault(self):
         """A misconfigured model name fails the query with fault tolerance

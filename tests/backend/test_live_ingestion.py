@@ -372,7 +372,7 @@ class TestSchedulerLiveHooks:
         )
         ctx = ExecutionContext(video, zoo, clock=SimClock())
         return ScanScheduler(
-            [stream], ctx, gating=False, early_exit=False, stride=config.stride()
+            [stream], ctx, early_exit=False, stride=config.stride()
         ), stream, ctx
 
     def test_set_pressure_stride_requires_stride_machinery(self, red_car_video, zoo):
@@ -424,8 +424,3 @@ class TestLiveConfigValidation:
             LiveConfig(pressure_low=0.9, pressure_high=0.2)
         with pytest.raises(ValueError):
             LiveConfig(reorder_window=-1)
-
-    def test_planner_config_live_accessor_carries_flag(self):
-        config = PlannerConfig(enable_live=True)
-        assert config.live().enabled is True
-        assert PlannerConfig().live().enabled is False

@@ -185,7 +185,7 @@ class TestPruneLive:
     def test_prune_releases_closed_history_keeps_open_run(self, zoo):
         video = burst_video([(0, 30), (60, None)], duration_s=12)
         stream, ctx = self._compiled_stream(video, zoo)
-        scheduler = ScanScheduler([stream], ctx, gating=False, early_exit=False)
+        scheduler = ScanScheduler([stream], ctx, early_exit=False)
         for fid in range(video.num_frames):
             scheduler.step(video.frame(fid))
             stream.drain_events()
@@ -210,7 +210,7 @@ class TestPruneLive:
         from repro.common.clock import SimClock
 
         ctx = ExecutionContext(video, zoo, clock=SimClock())
-        scheduler = ScanScheduler([stream], ctx, gating=False, early_exit=False)
+        scheduler = ScanScheduler([stream], ctx, early_exit=False)
         for fid in range(video.num_frames):
             scheduler.step(video.frame(fid))
             stream.prune_live(fid)

@@ -413,7 +413,7 @@ class TestGateAwareCostModel:
     def busy_red_video(self):
         """A red car on screen in every frame: the filter rejects almost
         nothing, so paying it per plan is a loss while paying it once per
-        batch is a win — the configuration that exposes the PR-2 mispricing."""
+        batch is a win — the configuration where per-plan pricing misleads."""
         spec = VideoSpec("busy_red", fps=10, width=640, height=480, duration_s=30)
         car = ObjectSpec(
             object_id=1,
@@ -424,28 +424,29 @@ class TestGateAwareCostModel:
         )
         return SyntheticVideo(spec, [car], seed=21)
 
-    def _plan_first_of_batch(self, video, zoo, aware: bool):
-        config = PlannerConfig(canary_frames=200, enable_gate_aware_costs=aware)
+    def _plan_first_of(self, video, zoo, batch_size: int):
+        config = PlannerConfig(canary_frames=200)
         planner = Planner(zoo, config)
-        batch = [FilteredRedCarQuery() for _ in range(4)]
+        batch = [FilteredRedCarQuery() for _ in range(batch_size)]
         planner.begin_batch(batch)
         return planner.plan(batch[0], video)
 
     def test_batch_shared_filter_flips_candidate_selection(self, busy_red_video, zoo):
         """The acceptance scenario: pricing the hoisted filter once per batch
-        selects a different (cheaper-under-gating) candidate than the
-        unshared PR-2 model did."""
-        unaware = self._plan_first_of_batch(busy_red_video, zoo, aware=False)
-        aware = self._plan_first_of_batch(busy_red_video, zoo, aware=True)
-        assert unaware.variant == "no_frame_filters"
-        assert aware.variant == "base"
+        selects a different (cheaper-under-gating) candidate than the same
+        query planned solo, where no batch mate shares the filter."""
+        solo = self._plan_first_of(busy_red_video, zoo, batch_size=1)
+        batched = self._plan_first_of(busy_red_video, zoo, batch_size=4)
+        assert solo.variant == "no_frame_filters"
+        assert batched.variant == "base"
+        assert batched.estimated_cost_ms < solo.estimated_cost_ms
         # The discount is recorded, never invented: measured cost unchanged.
-        assert aware.estimated_cost_ms < aware.profiled_cost_ms
+        assert batched.estimated_cost_ms < batched.profiled_cost_ms
 
     def test_solo_query_gets_no_sharing_discount(self, busy_red_video, zoo):
-        """With nobody to share with, the gate-aware model must agree with
-        the unshared one (k=1 -> zero discount)."""
-        config = PlannerConfig(canary_frames=200, enable_gate_aware_costs=True)
+        """With nobody to share with, the hoisted filter is priced at its
+        full solo cost (k=1 -> zero discount)."""
+        config = PlannerConfig(canary_frames=200)
         planner = Planner(zoo, config)
         query = FilteredRedCarQuery()
         planner.begin_batch([query])
@@ -469,7 +470,7 @@ class TestGateAwareCostModel:
         variant cache keys on the batch's filter multiplicities: the same
         planner must pick 'base' inside a 4-query batch and
         'no_frame_filters' for the same query planned alone afterwards."""
-        config = PlannerConfig(canary_frames=200, enable_gate_aware_costs=True)
+        config = PlannerConfig(canary_frames=200)
         planner = Planner(zoo, config)
         batch = [FilteredRedCarQuery() for _ in range(4)]
         planner.begin_batch(batch)
@@ -478,11 +479,13 @@ class TestGateAwareCostModel:
         planner.begin_batch([solo])
         assert planner.plan(solo, busy_red_video).variant == "no_frame_filters"
 
-    def test_unaware_costs_equal_measurement(self, busy_red_video, zoo):
-        config = PlannerConfig(canary_frames=100, enable_gate_aware_costs=False)
+    def test_solo_costs_equal_measurement(self, busy_red_video, zoo):
+        """With stride sampling off and nobody to share the filter with,
+        nothing is discounted: the price is the measured canary cost."""
+        config = PlannerConfig(canary_frames=100)
         planner = Planner(zoo, config)
         query = FilteredRedCarQuery()
-        planner.begin_batch([query, FilteredRedCarQuery()])
+        planner.begin_batch([query])
         plan = planner.plan(query, busy_red_video)
         assert plan.estimated_cost_ms == plan.profiled_cost_ms
 

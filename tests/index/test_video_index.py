@@ -25,7 +25,7 @@ from repro.common.geometry import BBox
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
 from repro.index.schema import detection_key, model_version, video_key
-from repro.index.store import VideoIndexStore
+from repro.index.store import NO_INDEX, VideoIndexStore
 from repro.models.base import Detection
 from repro.models.zoo import default_zoo
 from repro.videosim.datasets import camera_clip
@@ -219,7 +219,7 @@ class TestRequery:
     def test_disabled_mode_is_byte_identical_and_index_free(self, video):
         plain = QuerySession(video, config=PlannerConfig(profile_plans=False))
         plain_result = plain.execute(RedCarQuery())
-        assert plain.last_context.index is None
+        assert plain.last_context.index is NO_INDEX
         assert plain.index_store is None
         # Enabling the index changes nothing about a cold run but the
         # persistence side effect: identical results, identical clock.
@@ -227,12 +227,12 @@ class TestRequery:
         indexed_result = indexed.execute(RedCarQuery())
         assert result_signature(indexed_result) == result_signature(plain_result)
         assert indexed.last_context.clock.breakdown() == plain.last_context.clock.breakdown()
-        # index_config alone (switch off) creates no index objects at all.
+        # index_config alone (switch off) builds no per-execution view.
         off = QuerySession(
             video, config=PlannerConfig(profile_plans=False, index_config=IndexConfig())
         )
         off.execute(RedCarQuery())
-        assert off.last_context.index is None
+        assert off.last_context.index is NO_INDEX
 
     def test_stale_model_version_falls_back_to_live_invocation(self, video):
         store = VideoIndexStore()
@@ -312,6 +312,22 @@ class TestGateVerdicts:
         warm = QuerySession(video, config=config, index_store=store)
         warm_result = warm.execute(GatedRedCarQuery())
         assert warm.last_context.scan_stats.gate_evaluations == 0
+        assert result_signature(warm_result) == result_signature(cold_result)
+
+
+    def test_ungated_filter_verdicts_use_the_index(self, video):
+        """With the gate off the in-pipeline FrameFilterOp writes verdicts
+        through and a warm re-query serves them without running the filter."""
+        store = VideoIndexStore()
+        config = indexed_config(enable_scan_gating=False)
+        cold = QuerySession(video, config=config, index_store=store)
+        cold_result = cold.execute(GatedRedCarQuery())
+        assert cold.last_context.clock.calls.get("no_red_on_road", 0) > 0
+        assert cold.last_context.index.counters["written"] > 0
+
+        warm = QuerySession(video, config=config, index_store=store)
+        warm_result = warm.execute(GatedRedCarQuery())
+        assert warm.last_context.clock.calls.get("no_red_on_road", 0) == 0
         assert result_signature(warm_result) == result_signature(cold_result)
 
 

@@ -17,8 +17,10 @@ from repro.backend.live import LiveSession
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
 from repro.common.config import FaultConfig, VideoSpec
+from repro.faults import NO_FAULTS
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
+from repro.index.store import NO_INDEX
 from repro.videosim.datasets import camera_clip
 from repro.videosim.entities import ObjectSpec
 from repro.videosim.livefeed import LiveFeed
@@ -124,6 +126,43 @@ class TestDisabledMode:
         assert plain == traced
         assert all(handle is not None for handle in traced_handles)
         assert all(handle is None for handle in plain_handles)
+
+    @pytest.mark.parametrize("scenario", ["batch", "multicam", "live"])
+    def test_fault_layer_and_index_default_to_shared_inert_objects(self, scenario, clip, zoo):
+        """With faults and the index off, every context shares the inert
+        fault layer and index view, and no run leaves state on them."""
+        inert = (NO_FAULTS, NO_INDEX)
+        before = [dict(vars(type(obj))) for obj in inert]
+        contexts = getattr(self, f"_contexts_{scenario}")(clip, zoo)
+        assert contexts
+        for ctx in contexts:
+            assert ctx.faults is NO_FAULTS
+            assert ctx.index is NO_INDEX
+        assert [dict(vars(type(obj))) for obj in inert] == before
+        assert not any(hasattr(obj, "__dict__") for obj in inert)
+        assert dict(NO_INDEX.counters) == {"hits": 0, "misses": 0, "stale": 0, "written": 0}
+        assert NO_INDEX.summary() is None
+
+    def _contexts_batch(self, clip, zoo):
+        config = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        session = QuerySession(clip, zoo=zoo, config=config)
+        session.execute_many(batch())
+        return [session.last_context]
+
+    def _contexts_multicam(self, clip, zoo):
+        feeds = {"north": clip, "south": camera_clip("banff", duration_s=6, seed=1)}
+        config = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True)
+        session = MultiCameraSession(feeds, zoo=zoo, config=config, max_workers=2)
+        session.execute_many(batch())
+        return [s.last_context for s in session.sessions.values()]
+
+    def _contexts_live(self, clip, zoo):
+        config = PlannerConfig(
+            profile_plans=False, enable_live=True, enable_stride_sampling=True
+        )
+        session = LiveSession(LiveFeed(clip, fps=clip.fps * 3, seed=5), zoo=zoo, config=config)
+        session.run(batch())
+        return [session.last_context]
 
     @staticmethod
     def _clock(clock):
