@@ -5,6 +5,9 @@ Two measurements, both CI gates:
 1. warm re-query — a second query batch over an indexed video must cost
    at most 5% of the cold scan's detector invocations while producing
    semantically identical results (matched frames, events, aggregates);
+   with stride sampling off it must also make 0 tracker invocations (the
+   tracker output is replayed from the index) and return the cold scan's
+   track ids;
 2. disabled identity — with ``enable_video_index=False`` (the default)
    results must be byte-identical to an engine without the index, down
    to the virtual-clock cost breakdown.
@@ -78,6 +81,10 @@ def _detector_calls(session):
     return session.last_context.clock.calls.get("yolox", 0)
 
 
+def _tracker_calls(session):
+    return session.last_context.clock.calls.get("kalman_tracker", 0)
+
+
 def _signature(result):
     """The semantic answer — everything but the (legitimately cheaper) cost."""
     return (result.matched_frames, result.matches, result.events, result.aggregates)
@@ -102,6 +109,7 @@ def test_warm_requery_skips_detectors(benchmark):
 
     warm, warm_results = benchmark.pedantic(run_warm, rounds=1, iterations=1)
     warm_calls = _detector_calls(warm)
+    warm_tracker_calls = _tracker_calls(warm)
     counters = warm.last_context.index.counters
 
     payload = {
@@ -110,6 +118,8 @@ def test_warm_requery_skips_detectors(benchmark):
         "detector_invocations_warm": warm_calls,
         "warm_fraction": round(warm_calls / cold_calls, 4),
         "reduction_x": round(cold_calls / max(warm_calls, 1), 2),
+        "tracker_invocations_cold": _tracker_calls(cold),
+        "tracker_invocations_warm": warm_tracker_calls,
         "index_hits_warm": counters["hits"],
         "index_misses_warm": counters["misses"],
         "simulated_ms_cold": round(cold.last_context.clock.elapsed_ms, 1),
@@ -122,10 +132,14 @@ def test_warm_requery_skips_detectors(benchmark):
     }
     _emit_json("warm_requery", payload)
 
-    # CI gates: ≤5% of the cold detector invocations, identical answers.
+    # CI gates: ≤5% of the cold detector invocations, no tracker run (the
+    # config is stride-off), identical answers and identical track ids.
+    assert not INDEXED.enable_stride_sampling
     assert warm_calls <= 0.05 * cold_calls
+    assert warm_tracker_calls == 0
     for got, want in zip(warm_results, cold_results):
         assert _signature(got) == _signature(want)
+        assert got.distinct_tracks() == want.distinct_tracks()
 
 
 def test_warm_multicamera_reid_skips_embeddings(benchmark):

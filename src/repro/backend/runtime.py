@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
-from repro.common.errors import ExecutionError
+from repro.common.errors import ExecutionError, TransientModelError
 from repro.common.geometry import BBox
 from repro.faults.resilience import NO_FAULTS
 from repro.frontend.properties import PropertySpec
@@ -388,6 +388,14 @@ class ExecutionContext:
         #: are byte-identical to the pre-namespacing engine.
         self._track_id_map: Dict[Tuple[str, str, int], int] = {}
         self._next_global_track_id: int = 1
+        #: (tracker, detector) -> the next frame id that keeps the pair's
+        #: tracker input one contiguous run from frame 0, or None once the
+        #: pair skipped a frame.  While it is not None the pair's output is
+        #: exactly what a tracker fed every frame from 0 returns, so live
+        #: output is written through to the index's ``track_ids`` table,
+        #: and a pair without a live tracker (``_trackers``) is served
+        #: from that table: the replay cursor.
+        self._track_cursor: Dict[Tuple[str, str], Optional[int]] = {}
         #: Frame ids whose detector/tracker caches were interpolation-seeded
         #: by the stride sampler (never detector-observed).
         self.seeded_frames: set = set()
@@ -402,6 +410,10 @@ class ExecutionContext:
         self._vobj_states: Dict[int, Dict[Tuple[type, Detection], VObjState]] = {}
         self._interactions: Dict[int, Dict[Tuple[str, Detection, Detection], Tuple[str, ...]]] = {}
         self._scene_states: Dict[int, Dict[type, SceneState]] = {}
+        #: frame id -> {filter model -> the error it failed with past
+        #: retries}, so a re-run of the frame re-raises without invoking
+        #: the model again.
+        self._filter_failures: Dict[int, Dict[str, TransientModelError]] = {}
 
     # -- model access -----------------------------------------------------------
     def model(self, name: str) -> Any:
@@ -419,18 +431,27 @@ class ExecutionContext:
         filter runs through the fault layer and its verdict is written
         through to the index.  The scan gate and the in-pipeline
         ``FrameFilterOp`` both call this, so gating never decides whether
-        a filter sees faults or the index.
+        a filter sees faults or the index.  A filter that failed past
+        retries on the frame fails again at once when the frame is re-run.
         """
         cached = self.index.lookup_filter_verdict(model_name, frame.frame_id)
         if cached is not None:
             return cached, True
+        if self._filter_failures:
+            failed = self._filter_failures.get(frame.frame_id)
+            if failed is not None and model_name in failed:
+                raise failed[model_name]
         model = self.model(model_name)
-        keep = self.faults.invoke(
-            model_name,
-            frame.frame_id,
-            lambda: evaluate_frame_filter(model, frame, self.clock),
-            kind="frame-filter",
-        )
+        try:
+            keep = self.faults.invoke(
+                model_name,
+                frame.frame_id,
+                lambda: evaluate_frame_filter(model, frame, self.clock),
+                kind="frame-filter",
+            )
+        except TransientModelError as exc:
+            self._filter_failures.setdefault(frame.frame_id, {})[model_name] = exc
+            raise
         self.index.record_filter_verdict(model_name, frame.frame_id, keep)
         return keep, False
 
@@ -505,19 +526,29 @@ class ExecutionContext:
         per_frame = self._tracked.setdefault(frame.frame_id, {})
         key = (tracker_name, detector_name)
         if key not in per_frame:
+            frame_id = frame.frame_id
+            cursor = self._track_cursor.get(key, 0)
+            contiguous = cursor == frame_id
+            tracked: Optional[List[Detection]] = None
             if key not in self._trackers:
-                self._trackers[key] = self.zoo.get(tracker_name, fresh=True)
-            tracker = self._trackers[key]
-            obs = self.obs
-            with obs.tracer.span(
-                "model-invocation",
-                clock=self.clock,
-                model=tracker_name,
-                frame=frame.frame_id,
-                kind="tracker",
-            ):
-                tracked = tracker.update(list(detections), self.clock)
-            obs.metrics.inc("tracker_invocations", model=tracker_name)
+                if contiguous:
+                    tracked = self._replay_frame(key, frame_id, detections)
+                if tracked is None:
+                    self._rebuild_tracker(key, frame_id, "table-miss" if contiguous else "frame-gap")
+            if tracked is None:
+                obs = self.obs
+                with obs.tracer.span(
+                    "model-invocation",
+                    clock=self.clock,
+                    model=tracker_name,
+                    frame=frame_id,
+                    kind="tracker",
+                ):
+                    tracked = self._trackers[key].update(list(detections), self.clock)
+                obs.metrics.inc("tracker_invocations", model=tracker_name)
+                if contiguous:
+                    self.index.record_track_ids(tracker_name, detector_name, frame_id, tracked)
+            self._track_cursor[key] = frame_id + 1 if contiguous else None
             # The tracker numbers tracks locally from 1; everything past this
             # point (results, signatures, re-id, the persistent index) sees
             # only the namespaced global ids.
@@ -529,14 +560,62 @@ class ExecutionContext:
                     self._track_id_pairs.setdefault(det.track_id, set()).add(key)
         return per_frame[key]
 
+    def _replay_frame(
+        self, key: Tuple[str, str], frame_id: int, detections: Sequence[Detection]
+    ) -> Optional[List[Detection]]:
+        """The pair's indexed tracker output on the frame, or None.
+
+        None when the index has no ids for the frame or their count does
+        not match the frame's detections.  A served frame creates no
+        tracker and charges no clock time.
+        """
+        ids = self.index.lookup_track_ids(key[0], key[1], frame_id, len(detections))
+        if ids is None:
+            return None
+        return [det.with_track(tid) for det, tid in zip(detections, ids)]
+
+    def _rebuild_tracker(self, key: Tuple[str, str], frame_id: int, reason: str) -> Any:
+        """Create the pair's live tracker, fed every frame served so far.
+
+        The served frames are the contiguous run ``0 .. cursor - 1``; their
+        indexed detections go through the new tracker in order, charged as
+        live tracker calls, so its Kalman state is the one a tracker that
+        ran on every one of them would hold.  Without served frames this
+        just creates the tracker.
+        """
+        tracker = self.zoo.get(key[0], fresh=True)
+        self._trackers[key] = tracker
+        replayed = self._track_cursor.get(key) or 0
+        if not replayed:
+            return tracker
+        for fid in range(replayed):
+            detections = self.index.replay_detections(key[1], fid)
+            if detections is None:
+                raise ExecutionError(
+                    f"index lost the {key[1]!r} detections of replayed frame {fid}"
+                )
+            tracker.update(detections, self.clock)
+        obs = self.obs
+        obs.metrics.inc("tracker_invocations", replayed, model=key[0])
+        obs.decisions.record(
+            "index-replay-rebuild", reason, model=key[0], frame_id=frame_id, replayed=replayed
+        )
+        return tracker
+
     def peek_tracker(self, tracker_name: str, detector_name: str) -> Optional[Any]:
         """The live tracker instance for the pair, or None if it never ran.
 
-        Used by the scan scheduler's stride sampler to read the tracker's
-        active tracks for prediction/validation without instantiating (and
-        thus resetting) a tracker that no pipeline has touched yet.
+        Used by the scan scheduler's stride sampler and fault extrapolation
+        to read the tracker's active tracks without instantiating (and thus
+        resetting) a tracker that no pipeline has touched yet.  A pair whose
+        frames so far were served from the index has no Kalman state to
+        read: the first peek rebuilds its live tracker.
         """
-        return self._trackers.get((tracker_name, detector_name))
+        key = (tracker_name, detector_name)
+        tracker = self._trackers.get(key)
+        if tracker is None and self._track_cursor.get(key):
+            tracker = self._rebuild_tracker(key, self._track_cursor[key], "tracker-state-read")
+        return tracker
 
     def seed_frame(
         self,
@@ -686,6 +765,7 @@ class ExecutionContext:
         "_track_id_pairs",
         "_track_id_map",
         "_next_global_track_id",
+        "_track_cursor",
         "_detections",
         "_tracked",
         "_trackers",
@@ -694,6 +774,7 @@ class ExecutionContext:
         "_vobj_states",
         "_interactions",
         "_scene_states",
+        "_filter_failures",
     )
 
     def checkpoint_state(self) -> Dict[str, Any]:
@@ -723,3 +804,5 @@ class ExecutionContext:
         self._vobj_states.pop(frame_id, None)
         self._interactions.pop(frame_id, None)
         self._scene_states.pop(frame_id, None)
+        if self._filter_failures:
+            self._filter_failures.pop(frame_id, None)

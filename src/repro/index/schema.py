@@ -24,6 +24,12 @@ SCHEMA_VERSION = 1
 KIND_DETECTIONS = "detections"
 KIND_FILTER = "filter"
 KIND_EMBEDDING = "embedding"
+#: Tracker output: per frame, the tracker-local ids of that frame's cached
+#: detection list, in list order.  Its buckets are keyed by the
+#: (tracker, detector) pair (:func:`pair_name`, :func:`pair_version`).
+#: Distinct from the legacy per-video ``tracks`` table, which old files may
+#: still carry and nothing reads.
+KIND_TRACK_IDS = "track_ids"
 
 
 def video_key(video: Any) -> str:
@@ -46,6 +52,16 @@ def model_version(model: Any) -> str:
     invocation.
     """
     return f"{type(model).__name__}@{getattr(model, 'seed', 0)}"
+
+
+def pair_name(tracker_name: str, detector_name: str) -> str:
+    """The bucket name of one (tracker, detector) pair's ``track_ids``."""
+    return f"{tracker_name}|{detector_name}"
+
+
+def pair_version(tracker_version: str, detector_version: str) -> str:
+    """A pair's version: tracker ids change if either model changes."""
+    return f"{tracker_version}+{detector_version}"
 
 
 def detection_key(detection: Detection) -> str:

@@ -36,6 +36,8 @@ from repro.obs.core import DISABLED, Obs
 _HIT = "hit"
 _MISS = "miss"
 _STALE = "stale"
+#: Marks an entry the store does not hold (no stored value equals it).
+_ABSENT = object()
 
 
 class VideoIndexStore:
@@ -53,6 +55,9 @@ class VideoIndexStore:
         self.path = path
         self._lock = threading.RLock()
         self._payload: Dict[str, Any] = schema.empty_payload()
+        #: True while the payload holds something the file does not: a
+        #: stored value changed since the last load or save.
+        self._dirty = False
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -72,27 +77,35 @@ class VideoIndexStore:
                 "rescanned in full and the index rebuilt",
                 stacklevel=3,
             )
+            # The empty payload must replace the corrupt file on save.
+            self._dirty = True
             return
         self._payload = payload
 
     def save(self) -> None:
         """Atomically write the canonical serialization (no-op in memory).
 
-        The lock is held from serialization to rename, so concurrent saves
-        land one after another and the file always holds a whole snapshot.
-        The temp file sits next to the target (``os.replace`` stays a
-        same-filesystem atomic rename) under a per-process, per-thread name,
-        so saves from other stores or processes never share it.
+        A store whose file exists and which recorded no new or changed value
+        since it was loaded or last saved skips the write: a warm re-query
+        leaves the file as it is.  Otherwise the lock is held from
+        serialization to rename, so concurrent saves land one after another
+        and the file always holds a whole snapshot.  The temp file sits next
+        to the target (``os.replace`` stays a same-filesystem atomic rename)
+        under a per-process, per-thread name, so saves from other stores or
+        processes never share it.
         """
         if self.path is None:
             return
         with self._lock:
+            if not self._dirty and os.path.exists(self.path):
+                return
             data = self.to_json()
             tmp = f"{self.path}.{os.getpid()}.{threading.get_ident()}.tmp"
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
                     fh.write(data)
                 os.replace(tmp, self.path)
+                self._dirty = False
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
@@ -150,12 +163,19 @@ class VideoIndexStore:
             if bucket is None or bucket.get("version") != version:
                 bucket = {"version": version, "entries": {}}
                 kinds[model_name] = bucket
-            bucket["entries"][entry_key] = value
+            entries = bucket["entries"]
+            if entries.get(entry_key, _ABSENT) != value:
+                entries[entry_key] = value
+                self._dirty = True
 
     def record_stats(self, video_key: str, stats: Dict[str, Any]) -> None:
         """Merge observed per-video scan statistics."""
         with self._lock:
-            self._video(video_key)["stats"].update(stats)
+            stored = self._video(video_key)["stats"]
+            for name, value in stats.items():
+                if stored.get(name, _ABSENT) != value:
+                    stored[name] = value
+                    self._dirty = True
 
     def video_stats(self, video_key: str) -> Dict[str, Any]:
         with self._lock:
@@ -208,15 +228,18 @@ class IndexView:
             self._versions[model_name] = version
         return version
 
+    def _count_hit(self, kind: str, model_name: str, frame_id: Optional[int]) -> None:
+        self.counters["hits"] += 1
+        self.obs.decisions.record("index-hit", kind, model=model_name, frame_id=frame_id)
+        self.obs.metrics.inc("index_hits", model=model_name, kind=kind)
+
     def _lookup(self, kind: str, model_name: str, entry_key: str, frame_id: Optional[int]) -> Tuple[str, Any]:
         status, value = self.store.lookup(
             self.video_key, kind, model_name, self._version(model_name), entry_key
         )
         obs = self.obs
         if status == _HIT:
-            self.counters["hits"] += 1
-            obs.decisions.record("index-hit", kind, model=model_name, frame_id=frame_id)
-            obs.metrics.inc("index_hits", model=model_name, kind=kind)
+            self._count_hit(kind, model_name, frame_id)
         elif status == _STALE:
             self.counters["stale"] += 1
             obs.metrics.inc("index_stale", model=model_name, kind=kind)
@@ -235,10 +258,18 @@ class IndexView:
             obs.metrics.inc("index_misses", model=model_name, kind=kind)
         return status, value
 
-    def _record(self, kind: str, model_name: str, entry_key: str, value: Any, frame_id: Optional[int]) -> None:
-        self.store.record(
-            self.video_key, kind, model_name, self._version(model_name), entry_key, value
-        )
+    def _record(
+        self,
+        kind: str,
+        model_name: str,
+        entry_key: str,
+        value: Any,
+        frame_id: Optional[int],
+        version: Optional[str] = None,
+    ) -> None:
+        if version is None:
+            version = self._version(model_name)
+        self.store.record(self.video_key, kind, model_name, version, entry_key, value)
         self.counters["written"] += 1
         self.obs.decisions.record("index-written", kind, model=model_name, frame_id=frame_id)
         self.obs.metrics.inc("index_writes", model=model_name, kind=kind)
@@ -257,6 +288,57 @@ class IndexView:
             str(frame_id),
             schema.detections_to_value(detections),
             frame_id,
+        )
+
+    def replay_detections(self, model_name: str, frame_id: int) -> Optional[List[Detection]]:
+        """The frame's stored detections, read without counting a lookup.
+
+        Rebuilding a tracker from a replayed prefix re-reads detections the
+        scan was already served (and counted) once.
+        """
+        status, value = self.store.lookup(
+            self.video_key, schema.KIND_DETECTIONS, model_name, self._version(model_name), str(frame_id)
+        )
+        return schema.detections_from_value(value) if status == _HIT else None
+
+    # --------------------------------------------------------- tracker output --
+    def _pair(self, tracker_name: str, detector_name: str) -> Tuple[str, str]:
+        return (
+            schema.pair_name(tracker_name, detector_name),
+            schema.pair_version(self._version(tracker_name), self._version(detector_name)),
+        )
+
+    def lookup_track_ids(
+        self, tracker_name: str, detector_name: str, frame_id: int, count: int
+    ) -> Optional[List[Optional[int]]]:
+        """The pair's tracker-local ids for the frame's ``count`` detections.
+
+        Only a usable hit is counted.  No entry, a bucket of another pair
+        version, or ids that do not match ``count`` send the scan to the
+        live tracker it would have run anyway, so none of them is an index
+        miss or stale; the context records an ``index-replay-rebuild``
+        decision when a replayed prefix must be fed to that tracker.
+        """
+        name, version = self._pair(tracker_name, detector_name)
+        status, value = self.store.lookup(
+            self.video_key, schema.KIND_TRACK_IDS, name, version, str(frame_id)
+        )
+        if status != _HIT or len(value) != count:
+            return None
+        self._count_hit(schema.KIND_TRACK_IDS, name, frame_id)
+        return value
+
+    def record_track_ids(
+        self, tracker_name: str, detector_name: str, frame_id: int, tracked: List[Detection]
+    ) -> None:
+        name, version = self._pair(tracker_name, detector_name)
+        self._record(
+            schema.KIND_TRACK_IDS,
+            name,
+            str(frame_id),
+            [det.track_id for det in tracked],
+            frame_id,
+            version=version,
         )
 
     # -------------------------------------------------------- filter verdicts --
@@ -312,7 +394,9 @@ class InertIndexView:
     """The index view of a scan without the index: nothing is persisted.
 
     Every lookup misses, every record is dropped, ``counters`` are all zero
-    and ``summary()`` is None.  It holds no state, so every execution and
+    and ``summary()`` is None.  Since ``lookup_track_ids`` never serves a
+    frame, no tracker is ever rebuilt from it, so it has no
+    ``replay_detections``.  It holds no state, so every execution and
     thread shares :data:`NO_INDEX`.
     """
 
@@ -326,6 +410,16 @@ class InertIndexView:
         return None
 
     def record_detections(self, model_name: str, frame_id: int, detections: List[Detection]) -> None:
+        pass
+
+    def lookup_track_ids(
+        self, tracker_name: str, detector_name: str, frame_id: int, count: int
+    ) -> None:
+        return None
+
+    def record_track_ids(
+        self, tracker_name: str, detector_name: str, frame_id: int, tracked: List[Detection]
+    ) -> None:
         pass
 
     def lookup_filter_verdict(self, model_name: str, frame_id: int) -> None:

@@ -253,6 +253,25 @@ class TestDegradationAccounting:
         assert session.last_context.clock.calls.get("no_red_on_road", 0) == 0
         assert result.matched_frames == []
 
+    @pytest.mark.parametrize("gating", [True, False])
+    def test_dead_frame_filter_fails_once_per_frame(self, gating):
+        """The ``model-unavailable`` re-run of a frame whose filter failed
+        past retries re-raises the remembered failure instead of invoking
+        the dead filter a second time."""
+        from repro.videosim.datasets import camera_clip
+
+        video = camera_clip("jackson", duration_s=20, seed=12)
+        cfg = ft_config(
+            FaultConfig(dead_models=(("no_red_on_road", 0),)), enable_scan_gating=gating
+        )
+        session, result = run_single(video, cfg, GatedRedCarQuery())
+        stats = session.last_context.scan_stats
+        assert video.num_frames == 300
+        assert stats.frames_degraded == 300
+        assert stats.model_failures == 300
+        assert result.matched_frames == []
+        assert session.last_context._filter_failures == {}, "released frames keep no memo"
+
     def test_unknown_model_is_not_hidden_as_a_fault(self):
         """A misconfigured model name fails the query with fault tolerance
         on, exactly as with it off: only injected, retryable faults

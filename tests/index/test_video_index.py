@@ -5,7 +5,9 @@ serialization, corruption recovery), the session-level contract (a re-query
 over an indexed video serves detector outputs / filter verdicts / re-id
 embeddings from the index with identical results, a stale model version
 falls back to live invocation, seeded frames are never persisted, the
-disabled path is byte-identical), the planner's consumption of observed
+disabled path is byte-identical), tracker replay from the ``track_ids``
+table (a warm scan serves tracker output and rebuilds the live tracker at
+the first divergence), the planner's consumption of observed
 per-video statistics (``enable_video_index`` replacing the
 ``stride_stable_fraction`` prior), and the observability surface
 (``index_hits``/``index_misses`` metrics, decisions, explain section).
@@ -14,22 +16,27 @@ per-video statistics (``enable_video_index`` replacing the
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
-from repro.common.config import IndexConfig
+from repro.common.config import FaultConfig, IndexConfig, VideoSpec
 from repro.common.geometry import BBox
 from repro.frontend.builtin import Car, Person, RedCar
+from repro.frontend.properties import vobj_filter
 from repro.frontend.query import Query
-from repro.index.schema import detection_key, model_version, video_key
+from repro.index.schema import KIND_TRACK_IDS, detection_key, model_version, video_key
 from repro.index.store import NO_INDEX, VideoIndexStore
 from repro.models.base import Detection
 from repro.models.zoo import default_zoo
 from repro.videosim.datasets import camera_clip
+from repro.videosim.entities import ObjectSpec
 from repro.videosim.multicam import CameraPlacement, handoff_scenario
+from repro.videosim.trajectory import LinearTrajectory
+from repro.videosim.video import SyntheticVideo
 
 
 class RedCarQuery(Query):
@@ -89,6 +96,10 @@ def indexed_config(**kw):
 
 def detector_calls(session, model="yolox"):
     return session.last_context.clock.calls.get(model, 0)
+
+
+def tracker_calls(session):
+    return detector_calls(session, "kalman_tracker")
 
 
 def result_signature(result):
@@ -449,3 +460,249 @@ class TestObservability:
         )
         result = session.execute(RedCarQuery())
         assert "Index:" not in result.explain()
+
+
+# ---------------------------------------------------------------------------
+# Tracker replay
+# ---------------------------------------------------------------------------
+
+
+class TextureCar(Car):
+    """A car behind the ``texture_car_filter`` gate (3% false negatives)."""
+
+    @vobj_filter(model="texture_car_filter")
+    def has_car(self, frame):
+        ...
+
+
+class TextureCarQuery(CarQuery):
+    def __init__(self):
+        self.car = TextureCar("car")
+
+
+def two_car_clip():
+    """Two cars in view from frame 0: the texture gate admits frame 0 and
+    rejects a few later frames (its false negatives)."""
+    spec = VideoSpec("two-cars", fps=10, width=640, height=480, duration_s=20)
+    cars = [
+        ObjectSpec(
+            object_id=i + 1,
+            class_name="car",
+            trajectory=LinearTrajectory((30 + 150 * i, 300), (0.8, 0.0)),
+            size=(100, 50),
+            attributes={"color": "red", "vehicle_type": "sedan"},
+        )
+        for i in range(2)
+    ]
+    return SyntheticVideo(spec, cars, seed=3)
+
+
+def batch():
+    return [RedCarQuery(), CarQuery(), PersonQuery()]
+
+
+def batch_signature(results):
+    return [result_signature(r) for r in results]
+
+
+def run_batch(video, config, store=None, queries=None):
+    session = QuerySession(video, config=config, index_store=store)
+    results = session.execute_many(queries if queries is not None else batch())
+    return session, batch_signature(results)
+
+
+def track_id_frames(store, video):
+    """Frame ids of every ``track_ids`` entry, per pair bucket."""
+    kinds = json.loads(store.to_json())["videos"][video_key(video)]["kinds"]
+    return {
+        name: sorted(int(frame_id) for frame_id in bucket["entries"])
+        for name, bucket in kinds.get(KIND_TRACK_IDS, {}).items()
+    }
+
+
+def rebuilds(session):
+    return session.last_obs.decisions.records(action="index-replay-rebuild")
+
+
+@pytest.fixture(scope="module")
+def full_index(video):
+    """A store populated by a full stride-1 cold scan of the batch."""
+    store = VideoIndexStore()
+    session, cold = run_batch(video, indexed_config(), store)
+    return store.to_json(), cold, session
+
+
+def warm_store(full_index):
+    store = VideoIndexStore()
+    store._payload = json.loads(full_index[0])
+    return store
+
+
+class TestTrackerReplay:
+    def test_cold_scan_records_every_frame(self, video, full_index):
+        frames = track_id_frames(warm_store(full_index), video)
+        assert frames == {"kalman_tracker|yolox": list(range(video.num_frames))}
+
+    def test_warm_equals_cold_without_detector_or_tracker(self, video, full_index):
+        _, cold, cold_session = full_index
+        store = warm_store(full_index)
+        warm, got = run_batch(video, indexed_config(enable_tracing=True), store)
+        # Results carry track ids, so this also checks the replayed ids.
+        assert got == cold
+        assert detector_calls(warm) == 0 and tracker_calls(warm) == 0
+        assert not rebuilds(warm)
+        assert warm.last_context._trackers == {}, "a served frame creates no tracker"
+        assert "kalman_tracker" not in warm.last_context.clock.by_account
+        # Global-id bookkeeping comes out unchanged.
+        cold_ctx, warm_ctx = cold_session.last_context, warm.last_context
+        assert warm_ctx.track_sources() == cold_ctx.track_sources()
+        assert warm_ctx._track_first_seen == cold_ctx._track_first_seen
+        assert warm.last_obs.decisions.summary()["index-hit"][KIND_TRACK_IDS] == video.num_frames
+
+    def test_bounded_cold_run_indexes_a_prefix_that_warm_replays(self, video, full_index):
+        store = VideoIndexStore()
+        bounded = QuerySession(video, config=indexed_config(), index_store=store)
+        bounded.execute(CarQuery().bounded(3))
+        prefix = track_id_frames(store, video)["kalman_tracker|yolox"]
+        assert prefix == list(range(len(prefix))) and 0 < len(prefix) < video.num_frames
+
+        warm, got = run_batch(video, indexed_config(enable_tracing=True), store)
+        assert got == full_index[1]
+        (rebuild,) = rebuilds(warm)
+        assert rebuild.reason == "table-miss"
+        assert dict(rebuild.attrs)["replayed"] == len(prefix)
+        # The rebuild re-charges the prefix; the rest of the scan runs live.
+        assert tracker_calls(warm) == video.num_frames
+        # Live output past the prefix was written through: now complete.
+        assert track_id_frames(store, video)["kalman_tracker|yolox"] == list(range(video.num_frames))
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(enable_stride_sampling=True),
+            dict(
+                enable_fault_tolerance=True,
+                fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
+            ),
+            dict(
+                enable_fault_tolerance=True,
+                fault_config=FaultConfig(
+                    crash_frames=(("banff", 70),), checkpoint_interval=25
+                ),
+            ),
+        ],
+        ids=["stride", "degraded", "crash-resume"],
+    )
+    def test_divergent_warm_run_equals_the_same_config_cold(self, video, full_index, knobs):
+        _, cold = run_batch(video, indexed_config(**knobs), VideoIndexStore())
+        warm, got = run_batch(video, indexed_config(**knobs), warm_store(full_index))
+        assert got == cold
+        assert detector_calls(warm) == 0
+
+    def test_crash_during_replay_resumes_the_replay(self, video, full_index):
+        config = indexed_config(
+            enable_fault_tolerance=True,
+            fault_config=FaultConfig(crash_frames=(("banff", 70),), checkpoint_interval=25),
+        )
+        warm, got = run_batch(video, config, warm_store(full_index))
+        assert warm.last_context.scan_stats.scan_resumes == 1
+        assert got == full_index[1]
+        assert tracker_calls(warm) == 0
+
+    def test_degraded_frame_rebuilds_for_extrapolation(self, video, full_index):
+        config = indexed_config(
+            enable_tracing=True,
+            enable_fault_tolerance=True,
+            fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
+        )
+        warm, _ = run_batch(video, config, warm_store(full_index))
+        (rebuild,) = rebuilds(warm)
+        assert rebuild.reason == "tracker-state-read"
+        assert dict(rebuild.attrs)["replayed"] >= 60
+
+    def test_gate_keeping_a_frame_from_the_tracker(self):
+        clip = two_car_clip()
+        store = VideoIndexStore()
+        ungated = indexed_config(enable_scan_gating=False)
+        run_batch(clip, ungated, store, [TextureCarQuery()])
+        gated = indexed_config(enable_tracing=True)
+        _, cold = run_batch(clip, gated, VideoIndexStore(), [TextureCarQuery()])
+        warm, got = run_batch(clip, gated, store, [TextureCarQuery()])
+        assert got == cold
+        (rebuild,) = rebuilds(warm)
+        assert rebuild.reason == "frame-gap" and dict(rebuild.attrs)["replayed"] > 0
+        assert warm.last_context.scan_stats.leaf_frames_gated > 0
+
+    def test_strided_cold_run_stops_recording_at_the_first_gap(self, video, full_index):
+        store = VideoIndexStore()
+        strided = QuerySession(
+            video, config=indexed_config(enable_stride_sampling=True), index_store=store
+        )
+        strided.execute_many(batch())
+        seeded = strided.last_context.seeded_frames
+        assert seeded, "scenario must exercise stride interpolation"
+        prefix = track_id_frames(store, video)["kalman_tracker|yolox"]
+        assert prefix == list(range(len(prefix))) and len(prefix) <= min(seeded)
+
+        warm, got = run_batch(video, indexed_config(enable_tracing=True), store)
+        assert got == full_index[1]
+        (rebuild,) = rebuilds(warm)
+        assert dict(rebuild.attrs)["replayed"] == len(prefix)
+        # The stride-1 warm run extended the table: a third run replays all.
+        again, got = run_batch(video, indexed_config(), store)
+        assert got == full_index[1] and tracker_calls(again) == 0
+
+    def test_index_bytes_identical_across_max_workers(self):
+        scenario = handoff_scenario(
+            cameras=(
+                CameraPlacement("cam_a", fps=10, start_offset_s=0.0),
+                CameraPlacement("cam_b", fps=15, start_offset_s=3.0),
+            ),
+            num_entities=3,
+            seed=0,
+        )
+        config = PlannerConfig(
+            profile_plans=False, enable_cross_camera_reid=True, enable_video_index=True
+        )
+        payloads = []
+        for workers in (1, 2):
+            session = MultiCameraSession(
+                scenario.videos,
+                config=config,
+                max_workers=workers,
+                start_offsets=scenario.start_offsets,
+            )
+            session.execute(CarQuery())
+            payloads.append(session.index_store.to_json())
+        assert payloads[0] == payloads[1]
+        videos = json.loads(payloads[0])["videos"].values()
+        assert all(KIND_TRACK_IDS in bucket["kinds"] for bucket in videos)
+
+
+class TestSaveSkipsCleanStore:
+    def test_unchanged_store_is_not_rewritten(self, tmp_path, video):
+        path = str(tmp_path / "index.json")
+        config = indexed_config(index_config=IndexConfig(path=path))
+        QuerySession(video, config=config).execute(RedCarQuery())
+        before = os.stat(path).st_mtime_ns
+        os.utime(path, ns=(before - 10**9, before - 10**9))
+        QuerySession(video, config=config).execute(RedCarQuery())
+        assert os.stat(path).st_mtime_ns == before - 10**9
+
+    def test_changed_value_is_written(self, tmp_path):
+        path = str(tmp_path / "index.json")
+        store = VideoIndexStore(path)
+        store.record("v", "filter", "m", "V", "1", True)
+        store.save()
+        store = VideoIndexStore(path)
+        store.record("v", "filter", "m", "V", "1", True)
+        store.record_stats("v", {})
+        assert not store._dirty
+        store.record_stats("v", {"frames_scanned": 3})
+        store.save()
+        assert VideoIndexStore(path).video_stats("v") == {"frames_scanned": 3}
+
+    def test_missing_file_is_written_even_when_clean(self, tmp_path):
+        path = str(tmp_path / "index.json")
+        VideoIndexStore(path).save()
+        assert os.path.exists(path)
