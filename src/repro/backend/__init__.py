@@ -13,7 +13,7 @@ from repro.backend.crosscamera import (
     stitch_global_events,
 )
 from repro.backend.executor import Executor, extract_events
-from repro.backend.graph import FrameGraph, RelationEdge, VObjNode
+from repro.backend.graph import FrameGraph, VObjNode
 from repro.backend.live import Alert, CallbackSink, LiveSession, LiveStats, QueueSink
 from repro.backend.operators import (
     DetectorOp,
@@ -56,7 +56,6 @@ __all__ = [
     "Executor",
     "extract_events",
     "FrameGraph",
-    "RelationEdge",
     "VObjNode",
     "Alert",
     "CallbackSink",

@@ -587,8 +587,7 @@ def build_track_profiles(
     observed over fewer than ``config.min_track_frames`` frames are
     dropped entirely — sliver fragments at the frame edge and
     false-positive births would otherwise fragment identities (and waste
-    embedding invocations) — as are track ids a batch saw from several
-    (tracker, detector) pairs, which cannot be attributed to one object.
+    embedding invocations).
     """
     cached = ctx.intrinsic_track_values(
         config.embedding_property, exclude_frames=ctx.seeded_frames
@@ -600,19 +599,9 @@ def build_track_profiles(
         # source re-embedded — worth a decision record.
         seeded_only = set(ctx.intrinsic_track_values(config.embedding_property)) - set(cached)
     sources = ctx.track_sources()
-    ambiguous = ctx.ambiguous_track_ids()
     kept: List[Tuple[int, Detection, int]] = []  # (track_id, source, first frame)
     misses: List[Detection] = []
     for track_id in sorted(sources):
-        if track_id in ambiguous:
-            obs.decisions.record(
-                "reid-excluded",
-                "ambiguous-track-id",
-                subject=f"{camera}:{track_id}",
-                camera=camera,
-                track_id=track_id,
-            )
-            continue
         detection = sources[track_id]
         first = ctx.track_first_seen(track_id)
         if first is None:

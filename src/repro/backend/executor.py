@@ -274,16 +274,6 @@ class Executor:
             )
 
     # ---------------------------------------------------------------- queries --
-    def execute(
-        self,
-        query: Query,
-        video: SyntheticVideo,
-        ctx: ExecutionContext,
-        planner: Planner,
-    ) -> QueryResult:
-        """Execute any query, including higher-order compositions."""
-        return self.execute_queries([query], video, ctx, planner)[0]
-
     def execute_queries(
         self,
         queries: Sequence[Query],
@@ -319,11 +309,11 @@ class Executor:
         scene_vars = [info.variable for info in analysis.variables if info.is_scene]
 
         scene_bindings = {
-            var: graph.metadata.get("scene_states", {}).get(id(var)) or ctx.scene_state(type(var), frame)
+            var: graph.scene_states.get(id(var)) or ctx.scene_state(type(var), frame)
             for var in scene_vars
         }
 
-        relation_states = graph.metadata.get("relation_states", {})
+        relation_states = graph.relation_states
         frame_matches: List[MatchRecord] = []
 
         for binding in graph.bindings(vobj_vars) if vobj_vars else iter([{}]):

@@ -1,135 +1,65 @@
-"""The object-centric graph data model (paper §4.1).
+"""The per-frame graph data model (paper §4.1).
 
-The planner and executor exchange *frame graphs*: nodes are VObjs detected
-on (or tracked through) frames, edges record their relationships.  Four edge
-kinds mirror the paper:
-
-* ``motion`` — the same physical object on consecutive frames (added by the
-  tracker; carries the track id),
-* ``spatial`` — two VObjs on the same frame related by a spatial predicate,
-* ``duration`` — two VObjs within a bounded temporal distance,
-* ``temporal`` — an ordering edge from an earlier VObj to a later one.
-
-Nodes and edges both carry property dictionaries.
+The planner and executor exchange *frame graphs*: nodes are VObj
+occurrences on one frame, indexed by the query variable they bind.  A
+tracked branch builds its nodes from the tracker's output, so a node's
+state carries its track id.  Besides the nodes, a graph holds exactly what
+the sink reads: the frame's scene states and the relation states that
+survived the relation filters, keyed by the (subject, object) node ids.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
-
-from repro.common.errors import ExecutionError
-
-EDGE_KINDS = ("motion", "spatial", "duration", "temporal")
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 
-@dataclass
+@dataclass(eq=False)
 class VObjNode:
     """One video object occurrence in the graph."""
 
     node_id: int
     variable: Any  # the frontend VObj query variable this node binds
     state: Any  # backend VObjState (lazy property accessor)
-    frame_id: int
-    properties: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def track_id(self) -> Optional[int]:
-        return self.state.get("track_id")
-
-
-@dataclass
-class RelationEdge:
-    """A typed edge between two VObj nodes."""
-
-    kind: str
-    src: int
-    dst: int
-    properties: Dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in EDGE_KINDS:
-            raise ExecutionError(f"unknown edge kind {self.kind!r}; expected one of {EDGE_KINDS}")
 
 
 class FrameGraph:
-    """The graph flowing between operators for one frame batch.
+    """The graph flowing between operators for one frame.
 
     Nodes are grouped by the query variable they bind so per-variable
-    operators (projectors, VObj filters) can address their own nodes without
+    operators (projectors, VObj filters) address their own nodes without
     scanning the whole graph.
     """
 
     def __init__(self, frame: Any) -> None:
         self.frame = frame
-        self._nodes: Dict[int, VObjNode] = {}
-        self._by_variable: Dict[int, List[int]] = {}
-        self._edges: List[RelationEdge] = []
+        self._by_variable: Dict[int, List[VObjNode]] = {}
         self._node_counter = itertools.count(1)
         #: True when an upstream frame filter decided to drop this frame.
         self.dropped = False
-        #: Arbitrary per-frame metadata (e.g. scene attributes, filter marks).
-        self.metadata: Dict[str, Any] = {}
+        #: id(scene variable) -> its SceneState on this frame.
+        self.scene_states: Dict[int, Any] = {}
+        #: id(relation) -> {(subject node id, object node id) -> RelationState}.
+        self.relation_states: Dict[int, Dict[Tuple[int, int], Any]] = {}
 
-    # -- nodes --------------------------------------------------------------
     def add_node(self, variable: Any, state: Any) -> VObjNode:
-        node = VObjNode(
-            node_id=next(self._node_counter),
-            variable=variable,
-            state=state,
-            frame_id=self.frame.frame_id,
-        )
-        self._nodes[node.node_id] = node
-        self._by_variable.setdefault(id(variable), []).append(node.node_id)
+        node = VObjNode(node_id=next(self._node_counter), variable=variable, state=state)
+        self._by_variable.setdefault(id(variable), []).append(node)
         return node
 
-    def remove_node(self, node_id: int) -> None:
-        node = self._nodes.pop(node_id, None)
-        if node is None:
-            return
-        ids = self._by_variable.get(id(node.variable), [])
-        if node_id in ids:
-            ids.remove(node_id)
-        self._edges = [e for e in self._edges if e.src != node_id and e.dst != node_id]
+    def remove_node(self, node: VObjNode) -> None:
+        self._by_variable[id(node.variable)].remove(node)
 
-    def node(self, node_id: int) -> VObjNode:
-        return self._nodes[node_id]
+    def nodes(self, variable: Any) -> List[VObjNode]:
+        """The nodes bound to ``variable``, in insertion order."""
+        return list(self._by_variable.get(id(variable), ()))
 
-    def nodes(self, variable: Any = None) -> List[VObjNode]:
-        """All nodes, or only the nodes bound to ``variable``."""
-        if variable is None:
-            return list(self._nodes.values())
-        return [self._nodes[i] for i in self._by_variable.get(id(variable), [])]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    # -- edges --------------------------------------------------------------
-    def add_edge(self, kind: str, src: VObjNode, dst: VObjNode, **properties: Any) -> RelationEdge:
-        edge = RelationEdge(kind=kind, src=src.node_id, dst=dst.node_id, properties=dict(properties))
-        self._edges.append(edge)
-        return edge
-
-    def edges(self, kind: Optional[str] = None) -> List[RelationEdge]:
-        if kind is None:
-            return list(self._edges)
-        return [e for e in self._edges if e.kind == kind]
-
-    def remove_edges(self, kind: str, predicate=None) -> int:
-        """Remove edges of ``kind`` (optionally only those matching ``predicate``)."""
-        before = len(self._edges)
-        self._edges = [
-            e for e in self._edges if not (e.kind == kind and (predicate is None or predicate(e)))
-        ]
-        return before - len(self._edges)
-
-    # -- convenience -----------------------------------------------------------
     def bindings(self, variables: Iterable[Any]) -> Iterator[Dict[Any, VObjNode]]:
         """Cartesian product of surviving nodes across the given variables.
 
-        Yields one binding (variable → node) per combination; used by the
-        join operator to enumerate candidate multi-object matches.
+        Yields one binding (variable → node) per combination; the sink
+        enumerates candidate multi-object matches with it.
         """
         variables = list(variables)
         pools = [self.nodes(v) for v in variables]

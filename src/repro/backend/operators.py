@@ -14,13 +14,14 @@ once per fused group.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from repro.backend.graph import FrameGraph
 from repro.backend.runtime import ExecutionContext
 from repro.frontend.expr import Environment, Predicate
 from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
+from repro.models.base import Detection
 
 #: Virtual per-frame overhead of running one (unfused) operator.
 OPERATOR_OVERHEAD_MS = 0.02
@@ -82,41 +83,57 @@ class FrameFilterOp(Operator):
 # ---------------------------------------------------------------------------
 
 
+def _add_nodes(
+    graph: FrameGraph,
+    ctx: ExecutionContext,
+    variable: VObj,
+    class_names: Tuple[str, ...],
+    detections: Sequence[Detection],
+) -> None:
+    """Add one node per detection of ``variable``'s classes (all if none)."""
+    vobj_type = type(variable)
+    for det in detections:
+        if class_names and det.class_name not in class_names:
+            continue
+        graph.add_node(variable, ctx.vobj_state(vobj_type, det, graph.frame))
+
+
 class DetectorOp(Operator):
     """Runs a detection model and adds nodes for one query variable.
 
     Detection results are cached per (model, frame) in the execution context,
-    so several variables backed by the same model share one inference.
+    so several variables backed by the same model share one inference.  On a
+    ``tracked`` branch the detector still runs here, so its cost is charged
+    at this point of the pipeline, but the :class:`TrackerOp` that follows
+    adds the nodes.
     """
 
     kind = "object_detector"
 
-    def __init__(self, variable: VObj, model_name: str) -> None:
+    def __init__(self, variable: VObj, model_name: str, tracked: bool = False) -> None:
         super().__init__(f"{model_name}[{variable.var_name}]")
         self.variable = variable
         self.model_name = model_name
+        self.tracked = tracked
         self.class_names = tuple(type(variable).class_names)
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
         vobj_type = type(self.variable)
         if issubclass(vobj_type, Scene):
-            graph.metadata.setdefault("scene_states", {})[id(self.variable)] = ctx.scene_state(vobj_type, graph.frame)
+            graph.scene_states[id(self.variable)] = ctx.scene_state(vobj_type, graph.frame)
             return graph
         detections = ctx.detect(self.model_name, graph.frame)
-        for det in detections:
-            if self.class_names and det.class_name not in self.class_names:
-                continue
-            state = ctx.vobj_state(vobj_type, det, graph.frame)
-            graph.add_node(self.variable, state)
+        if not self.tracked:
+            _add_nodes(graph, ctx, self.variable, self.class_names, detections)
         return graph
 
 
 class TrackerOp(Operator):
-    """Assigns track ids to a variable's detections and rebinds their states.
+    """Tracks the frame's detections and adds a variable's nodes from them.
 
-    Tracking is what makes stateful properties and intrinsic-property reuse
-    possible: the rebound states carry a per-track
-    :class:`~repro.backend.runtime.TrackState`.
+    The nodes' states carry the tracked detections' ids and a per-track
+    :class:`~repro.backend.runtime.TrackState`, which stateful properties
+    and intrinsic-property reuse need.
     """
 
     kind = "object_tracker"
@@ -126,21 +143,12 @@ class TrackerOp(Operator):
         self.variable = variable
         self.tracker_name = tracker_name
         self.detector_name = detector_name
+        self.class_names = tuple(type(variable).class_names)
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
         raw = ctx.detect(self.detector_name, graph.frame)
         tracked = ctx.track(self.tracker_name, self.detector_name, graph.frame, raw)
-        by_key: Dict[Tuple[Tuple[float, float, float, float], str], Any] = {
-            (d.bbox.as_tuple(), d.class_name): d for d in tracked
-        }
-        vobj_type = type(self.variable)
-        for node in graph.nodes(self.variable):
-            det = node.state.detection
-            tracked_det = by_key.get((det.bbox.as_tuple(), det.class_name))
-            if tracked_det is None:
-                continue
-            node.state = ctx.vobj_state(vobj_type, tracked_det, graph.frame)
-            node.properties["track_id"] = tracked_det.track_id
+        _add_nodes(graph, ctx, self.variable, self.class_names, tracked)
         return graph
 
 
@@ -162,7 +170,7 @@ class ProjectorOp(Operator):
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
         for node in graph.nodes(self.variable):
             for prop in self.properties:
-                node.properties[prop] = node.state.get(prop)
+                node.state.get(prop)
         return graph
 
 
@@ -177,10 +185,10 @@ class VObjFilterOp(Operator):
         self.predicate = predicate
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
-        for node in list(graph.nodes(self.variable)):
+        for node in graph.nodes(self.variable):
             env = Environment({self.variable: node.state})
             if not self.predicate.evaluate(env):
-                graph.remove_node(node.node_id)
+                graph.remove_node(node)
         return graph
 
 
@@ -234,10 +242,12 @@ class JoinOp(Operator):
 
 
 class RelationProjectorOp(Operator):
-    """Computes relation properties for every (subject, object) node pair.
+    """Builds the relation state of every (subject, object) node pair.
 
-    Adds a ``spatial`` edge per pair carrying the computed properties, and
-    stores the relation states in the graph metadata for the sink to reuse.
+    Each pair's relation properties are evaluated here, in the declared
+    order, so their cost is charged at this point of the pipeline; the
+    states are kept in ``graph.relation_states`` for the relation filters
+    and the sink.
     """
 
     kind = "relation_projector"
@@ -249,20 +259,20 @@ class RelationProjectorOp(Operator):
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
         rel_type = type(self.relation)
-        states: Dict[Tuple[int, int], Any] = graph.metadata.setdefault("relation_states", {}).setdefault(id(self.relation), {})
+        states = graph.relation_states.setdefault(id(self.relation), {})
         for subj_node in graph.nodes(self.relation.subject):
             for obj_node in graph.nodes(self.relation.object):
                 if subj_node.node_id == obj_node.node_id:
                     continue
                 rel_state = ctx.relation_state(rel_type, subj_node.state, obj_node.state, graph.frame)
-                props = {p: rel_state.get(p) for p in self.properties}
+                for prop in self.properties:
+                    rel_state.get(prop)
                 states[(subj_node.node_id, obj_node.node_id)] = rel_state
-                graph.add_edge("spatial", subj_node, obj_node, relation=rel_type.__name__, **props)
         return graph
 
 
 class RelationFilterOp(Operator):
-    """Removes spatial edges (and the relation states) failing a predicate."""
+    """Drops the relation states that fail a predicate."""
 
     kind = "relation_filter"
 
@@ -272,9 +282,9 @@ class RelationFilterOp(Operator):
         self.predicate = predicate
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
-        states: Dict[Tuple[int, int], Any] = graph.metadata.get("relation_states", {}).get(id(self.relation), {})
+        states = graph.relation_states.get(id(self.relation), {})
         surviving: Dict[Tuple[int, int], Any] = {}
-        for (src, dst), rel_state in states.items():
+        for pair, rel_state in states.items():
             env = Environment(
                 {
                     self.relation: rel_state,
@@ -283,7 +293,6 @@ class RelationFilterOp(Operator):
                 }
             )
             if self.predicate.evaluate(env):
-                surviving[(src, dst)] = rel_state
-        graph.metadata.setdefault("relation_states", {})[id(self.relation)] = surviving
-        graph.remove_edges("spatial", lambda e: (e.src, e.dst) not in surviving and e.properties.get("relation") == type(self.relation).__name__)
+                surviving[pair] = rel_state
+        graph.relation_states[id(self.relation)] = surviving
         return graph

@@ -140,10 +140,6 @@ class QueryPlan:
                     names.add(op.detector_name)
         return frozenset(names)
 
-    def filter_models(self) -> frozenset:
-        """Names of the frame-filter models in this plan's hoisted prefix."""
-        return frozenset(op.model_name for op in self.frame_filters)
-
     def tracked_detector_pairs(self) -> Optional[List[Tuple[str, str]]]:
         """The plan's (tracker model, detector model) pairs, or None.
 

@@ -300,10 +300,10 @@ class Planner:
     ) -> List[Operator]:
         """Operators for one variable: detect, track, project/filter interleaved."""
         cfg = self.config
-        ops: List[Operator] = [DetectorOp(info.variable, detector_model)]
-
-        needs_tracker = info.requires_tracking or (cfg.enable_reuse and info.intrinsic_properties)
-        if needs_tracker and not info.is_scene:
+        needs_tracker = info.requires_tracking or (cfg.enable_reuse and bool(info.intrinsic_properties))
+        tracked = needs_tracker and not info.is_scene
+        ops: List[Operator] = [DetectorOp(info.variable, detector_model, tracked=tracked)]
+        if tracked:
             ops.append(TrackerOp(info.variable, info.tracker_model, detector_model))
 
         conjuncts = list(info.conjuncts)

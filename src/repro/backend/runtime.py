@@ -167,7 +167,6 @@ class VObjState:
                 spec.model,
                 self.frame.frame_id,
                 lambda: model.predict(self.detection, self.frame, self.context.clock),
-                kind="property",
             )
         else:
             inputs = [self.get(dep) for dep in spec.inputs]
@@ -200,7 +199,6 @@ class VObjState:
                 spec.model,
                 self.frame.frame_id,
                 lambda: model.predict(args, clock=self.context.clock),
-                kind="property",
             )
         args = histories[0] if len(histories) == 1 else histories
         return spec.func(self, args) if len(histories) == 1 else spec.func(self, *histories)
@@ -374,18 +372,14 @@ class ExecutionContext:
         #: pass through the tracker, so they can never land here.
         self._track_sources: Dict[int, Detection] = {}
         self._track_first_seen: Dict[int, int] = {}
-        #: track id -> the (tracker, detector) pairs that emitted it.  Global
-        #: ids are allocated per pair (see :meth:`_global_track_id`), so each
-        #: entry holds exactly one pair — the attribution record the
-        #: persistent index and cross-camera linking rely on.
-        self._track_id_pairs: Dict[int, set] = {}
         #: (tracker, detector, tracker-local id) -> batch-global track id.
         #: Each pair's tracker numbers its tracks from 1, so a batch running
         #: several pairs would otherwise reuse one id for different physical
         #: objects.  Globals are allocated sequentially from 1 in first-seen
         #: order: with a single pair the mapping is the identity (trackers
         #: also number 1, 2, ... in first-seen order), so single-plan results
-        #: are byte-identical to the pre-namespacing engine.
+        #: are byte-identical to the pre-namespacing engine.  The keys are
+        #: also the attribution record of every global id (:meth:`track_pair`).
         self._track_id_map: Dict[Tuple[str, str, int], int] = {}
         self._next_global_track_id: int = 1
         #: (tracker, detector) -> the next frame id that keeps the pair's
@@ -447,7 +441,6 @@ class ExecutionContext:
                 model_name,
                 frame.frame_id,
                 lambda: evaluate_frame_filter(model, frame, self.clock),
-                kind="frame-filter",
             )
         except TransientModelError as exc:
             self._filter_failures.setdefault(frame.frame_id, {})[model_name] = exc
@@ -478,7 +471,6 @@ class ExecutionContext:
                     model_name,
                     frame.frame_id,
                     lambda: self.model(model_name).detect(frame, self.clock),
-                    kind="detector",
                 )
 
             obs = self.obs
@@ -557,7 +549,6 @@ class ExecutionContext:
                 if det.track_id is not None:
                     self._track_first_seen.setdefault(det.track_id, frame.frame_id)
                     self._track_sources[det.track_id] = det
-                    self._track_id_pairs.setdefault(det.track_id, set()).add(key)
         return per_frame[key]
 
     def _replay_frame(
@@ -651,7 +642,6 @@ class ExecutionContext:
                 model_name,
                 frame.frame_id,
                 lambda: model.predict([subject], [object_], frame, self.clock),
-                kind="interaction",
             )
             per_frame[key] = tuple(p.kind for p in preds)
         return per_frame[key]
@@ -668,16 +658,6 @@ class ExecutionContext:
         """
         return dict(self._track_sources)
 
-    def ambiguous_track_ids(self) -> set:
-        """Track ids emitted by more than one (tracker, detector) pair.
-
-        Global id allocation makes cross-pair collisions impossible, so this
-        is empty by construction; it remains as a defensive invariant check
-        for cross-camera linking (a non-empty set means the namespacing
-        contract was violated).
-        """
-        return {tid for tid, pairs in self._track_id_pairs.items() if len(pairs) > 1}
-
     def track_pair(self, track_id: int) -> Optional[Tuple[str, str]]:
         """The (tracker, detector) pair that emitted a global track id.
 
@@ -685,10 +665,10 @@ class ExecutionContext:
         every track, so indexed identities can be replayed against the
         right pipeline.  None for unknown ids.
         """
-        pairs = self._track_id_pairs.get(track_id)
-        if not pairs:
-            return None
-        return next(iter(pairs))
+        for (tracker_name, detector_name, _local), gid in self._track_id_map.items():
+            if gid == track_id:
+                return tracker_name, detector_name
+        return None
 
     def track_first_seen(self, track_id: int) -> Optional[int]:
         """Frame id a track was first observed on (None for unknown tracks)."""
@@ -762,7 +742,6 @@ class ExecutionContext:
         "seeded_frames",
         "_track_sources",
         "_track_first_seen",
-        "_track_id_pairs",
         "_track_id_map",
         "_next_global_track_id",
         "_track_cursor",

@@ -367,10 +367,6 @@ class ScanScheduler:
         self._release_cursor = 0
         self._last_frame_id: Optional[int] = None
 
-    @property
-    def active_streams(self) -> List[QueryStream]:
-        return list(self._active)
-
     def step(self, frame: Frame) -> bool:
         """Process one frame; returns False when the scan should stop."""
         # Scan-level faults surface before the frame counts as scanned: a

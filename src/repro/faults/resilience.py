@@ -122,7 +122,7 @@ class FaultManager:
         return breaker
 
     # ---------------------------------------------------------- invocation --
-    def invoke(self, model_name: str, frame_id: int, fn: Callable[[], T], kind: str = "model") -> T:
+    def invoke(self, model_name: str, frame_id: int, fn: Callable[[], T]) -> T:
         """Run ``fn`` (the real model invocation) with injection + resilience.
 
         Raises :class:`TransientModelError` (or :class:`ModelTimeoutError`)
@@ -255,7 +255,7 @@ class InertFaults:
 
     __slots__ = ()
 
-    def invoke(self, model_name: str, frame_id: int, fn: Callable[[], T], kind: str = "model") -> T:
+    def invoke(self, model_name: str, frame_id: int, fn: Callable[[], T]) -> T:
         return fn()
 
     def bind_stats(self, stats: object) -> None:

@@ -18,7 +18,7 @@ Decision catalog (action / reasons) — see docs/observability.md:
 * ``frame-rescanned`` / ``validation-failed``, ``scan-ended-mid-gap``
 * ``stride-raised`` / ``stable-streak``; ``stride-reset`` / ``prediction-mismatch``
 * ``stream-retired`` / ``answer-determined``; ``scan-early-exit`` / ``all-streams-done``
-* ``reid-excluded`` / ``ambiguous-track-id``, ``below-min-track-frames``
+* ``reid-excluded`` / ``below-min-track-frames``
 * ``reid-embedding-recomputed`` / ``seeded-frame-provenance``
 * ``reid-unmatched`` / ``empty-gallery``, ``below-threshold``,
   ``class-mismatch``, ``identity-contended``

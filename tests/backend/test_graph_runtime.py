@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.backend.graph import FrameGraph, RelationEdge
+from repro.backend.graph import FrameGraph
+from repro.backend.planner import PlannerConfig
 from repro.backend.runtime import ExecutionContext, TrackState, VObjState
+from repro.backend.session import QuerySession
 from repro.common.clock import SimClock
+from repro.common.config import FaultConfig
 from repro.common.errors import ExecutionError
 from repro.frontend.builtin import Ball, Car, Person, PersonBallInteraction
+from repro.frontend.query import Query
 from repro.models.base import Detection
+from repro.videosim.datasets import camera_clip
 
 
 @pytest.fixture
@@ -28,24 +33,8 @@ class TestFrameGraph:
         det = tracked_detection(ctx, frame, 1, 1)
         node = graph.add_node(car_var, ctx.vobj_state(Car, det, frame))
         assert graph.nodes(car_var) == [node]
-        graph.remove_node(node.node_id)
+        graph.remove_node(node)
         assert graph.nodes(car_var) == []
-
-    def test_edges(self, ctx, tiny_video):
-        frame = tiny_video.frame(0)
-        graph = FrameGraph(frame)
-        car_var, person_var = Car("c"), Person("p")
-        n1 = graph.add_node(car_var, ctx.vobj_state(Car, tracked_detection(ctx, frame, 1, 1), frame))
-        n2 = graph.add_node(person_var, ctx.vobj_state(Person, tracked_detection(ctx, frame, 2, 2), frame))
-        graph.add_edge("spatial", n1, n2, distance=42.0)
-        assert len(graph.edges("spatial")) == 1
-        assert graph.edges("motion") == []
-        graph.remove_node(n1.node_id)
-        assert graph.edges("spatial") == []
-
-    def test_invalid_edge_kind(self):
-        with pytest.raises(ExecutionError):
-            RelationEdge("teleport", 1, 2)
 
     def test_bindings_product(self, ctx, tiny_video):
         frame = tiny_video.frame(0)
@@ -259,3 +248,118 @@ class TestSceneState:
         # Every binding enumerated on the frame sees the same memoised state.
         assert ctx.scene_state(CrowdScene, frame).get("crowded") == first
         assert ctx.clock.elapsed_ms == cost
+
+
+class CarTrackQuery(Query):
+    def __init__(self):
+        self.car = Car("car")
+
+    def frame_constraint(self):
+        return self.car.score > 0.5
+
+    def frame_output(self):
+        return (self.car.track_id,)
+
+
+class PersonTrackQuery(Query):
+    def __init__(self, vobj_type=Person):
+        self.person = vobj_type("person")
+
+    def frame_constraint(self):
+        return self.person.score > 0.5
+
+    def frame_output(self):
+        return (self.person.track_id,)
+
+
+class NorfairPerson(Person):
+    """Person tracked by the IoU tracker: a second pair on the same detector."""
+
+    tracker = "norfair_tracker"
+
+
+def record_track_ids(result):
+    """frame id -> the identity of every sink binding of ``result``."""
+    return {
+        frame_id: [identity for record in records for _var, identity in record.binding]
+        for frame_id, records in result.matches.items()
+    }
+
+
+class TestTrackedBranchNodes:
+    """A tracked branch builds its nodes once, from the tracker's output."""
+
+    def test_one_vobj_state_per_tracked_detection(self, jackson_clip, zoo, monkeypatch):
+        tracked_cars = []
+        states = []
+        track, vobj_state = ExecutionContext.track, ExecutionContext.vobj_state
+
+        def spy_track(self, *args):
+            out = track(self, *args)
+            tracked_cars.append(sum(det.class_name == "car" for det in out))
+            return out
+
+        def spy_vobj_state(self, *args):
+            states.append(args)
+            return vobj_state(self, *args)
+
+        monkeypatch.setattr(ExecutionContext, "track", spy_track)
+        monkeypatch.setattr(ExecutionContext, "vobj_state", spy_vobj_state)
+        session = QuerySession(jackson_clip, zoo=zoo, config=PlannerConfig(profile_plans=False))
+        result = session.execute(CarTrackQuery())
+        assert result.matched_frames
+        assert len(tracked_cars) == jackson_clip.num_frames
+        assert len(states) == sum(tracked_cars)
+        assert all(det.track_id is not None for _type, det, _frame in states)
+
+    def test_stride_filled_frames_bind_track_ids(self, jackson_clip, zoo):
+        config = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        session = QuerySession(jackson_clip, zoo=zoo, config=config)
+        result = session.execute(CarTrackQuery())
+        filled = session.last_context.seeded_frames & set(result.matches)
+        assert filled
+        ids = record_track_ids(result)
+        assert all(isinstance(i, int) for frame_id in filled for i in ids[frame_id])
+
+    def test_model_unavailable_frames_bind_track_ids(self, jackson_clip, zoo):
+        config = PlannerConfig(
+            profile_plans=False,
+            enable_tracing=True,
+            enable_fault_tolerance=True,
+            fault_config=FaultConfig(seed=1, dead_models=(("yolox", 100),)),
+        )
+        session = QuerySession(jackson_clip, zoo=zoo, config=config)
+        result = session.execute(CarTrackQuery())
+        degraded = {
+            d.frame_id
+            for d in session.last_obs.decisions.records("frame-degraded", "model-unavailable")
+        }
+        filled = degraded & set(result.matches)
+        assert filled
+        ids = record_track_ids(result)
+        assert all(isinstance(i, int) for frame_id in filled for i in ids[frame_id])
+
+    def test_two_trackers_on_one_detector_bind_their_own_tracks(self, zoo):
+        """Two stride cohorts whose pairs share a detector: on a gap one
+        cohort fills, the other may already have cached real detections.
+        Each plan's nodes come from its own pair's tracker output, so every
+        binding carries a track id of that pair, and the stateful ``speed``
+        of a filled frame has its track state."""
+
+        class MovingPersonQuery(PersonTrackQuery):
+            def frame_constraint(self):
+                return (self.person.score > 0.5) & (self.person.speed < 50.0)
+
+        video = camera_clip("jackson", duration_s=20, seed=12)
+        config = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        session = QuerySession(video, zoo=zoo, config=config)
+        queries = [CarTrackQuery(), PersonTrackQuery(NorfairPerson), MovingPersonQuery()]
+        results = session.execute_many(queries)
+        ctx = session.last_context
+        assert session.last_scan_stats["partial_deferrals"] > 0
+        pairs = [("kalman_tracker", "yolox"), ("norfair_tracker", "yolox"), ("kalman_tracker", "yolox")]
+        for result, pair in zip(results, pairs):
+            ids = record_track_ids(result)
+            assert ids
+            for frame_ids in ids.values():
+                assert all(isinstance(i, int) and ctx.track_pair(i) == pair for i in frame_ids)
