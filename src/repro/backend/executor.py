@@ -44,7 +44,7 @@ from repro.backend.streaming import (
 )
 from repro.common.errors import ExecutionError, FeedFailedError
 from repro.faults import FaultManager, ScanCheckpointer
-from repro.frontend.expr import Environment, MISSING, TRUE
+from repro.frontend.expr import Env, MISSING, TRUE
 from repro.frontend.higher_order import DurationQuery, TemporalQuery
 from repro.frontend.query import Query
 from repro.obs.core import DISABLED, Obs
@@ -317,9 +317,9 @@ class Executor:
         frame_matches: List[MatchRecord] = []
 
         for binding in graph.bindings(vobj_vars) if vobj_vars else iter([{}]):
-            env_map: Dict[Any, Any] = dict(scene_bindings)
+            env: Dict[Any, Any] = dict(scene_bindings)
             for var, node in binding.items():
-                env_map[var] = node.state
+                env[var] = node.state
             ok = True
             for rel_info in analysis.relations:
                 rel = rel_info.relation
@@ -332,10 +332,9 @@ class Executor:
                 if rel_state is None:
                     ok = False
                     break
-                env_map[rel] = rel_state
+                env[rel] = rel_state
             if not ok:
                 continue
-            env = Environment(env_map)
 
             frame_ok = analysis.frame_predicate.evaluate(env)
             video_ok = analysis.video_predicate is not TRUE and analysis.video_predicate.evaluate(env)
@@ -384,7 +383,7 @@ class Executor:
         return f"@{node.node_id}"
 
     @staticmethod
-    def _resolve_value(expr, env: Environment) -> Any:
+    def _resolve_value(expr, env: Env) -> Any:
         value = expr.resolve(env)
         return None if value is MISSING else value
 

@@ -297,9 +297,6 @@ class LiveSession:
                 self.stats.frames_delivered += 1
                 if delivery.duplicate:
                     self.stats.duplicates_delivered += 1
-                obs.metrics.observe(
-                    "live_lag_ms", now - delivery.capture_ms, feed=self.feed.feed
-                )
                 self._admit(frame, delivery.duplicate, scheduler, obs)
             self._release_in_order(obs)
             # Accuracy first, frames last: widen the stride floor the moment
@@ -324,7 +321,6 @@ class LiveSession:
             return
         if fid < self._highest_arrived:
             self.stats.frames_reordered += 1
-            obs.metrics.inc("frames_reordered", feed=self.feed.feed)
             obs.decisions.record(
                 "frame-reordered", "out-of-order-arrival", frame_id=fid,
                 behind=self._highest_arrived,
@@ -338,7 +334,6 @@ class LiveSession:
             # The original copy: it was never sequenced, so the scan will
             # never step it — label the gap into event provenance.
             scheduler.note_missing_frame(fid)
-        obs.metrics.inc("frames_late_dropped", feed=self.feed.feed)
         obs.decisions.record(
             "late-frame-dropped",
             "duplicate-delivery" if duplicate else "behind-watermark",
@@ -387,14 +382,11 @@ class LiveSession:
             self.stats.frames_shed += 1
             if not victim.duplicate:
                 scheduler.note_missing_frame(fid)
-            obs.metrics.inc("frames_shed", feed=self.feed.feed)
             obs.decisions.record(
                 "frame-shed", "queue-over-cap", frame_id=fid,
                 buffered=self._buffered() + 1, cap=cap,
             )
-        depth = self._buffered()
-        self.stats.peak_buffered = max(self.stats.peak_buffered, depth)
-        obs.metrics.observe("live_queue_depth", depth, feed=self.feed.feed)
+        self.stats.peak_buffered = max(self.stats.peak_buffered, self._buffered())
 
     def _update_pressure(self, scheduler: ScanScheduler, obs: Obs) -> None:
         """Shed accuracy before frames: widen the stride floor under load."""
@@ -501,7 +493,6 @@ class LiveSession:
                 # post-outage frames reach the scan.
                 self._label_outage_losses(scheduler, now, obs)
                 self._last_arrival_ms = now
-                obs.metrics.inc("reconnects", feed=self.feed.feed)
                 obs.decisions.record(
                     "feed-reconnected", "reconnect-success",
                     subject=self.feed.feed, attempt=attempt,
@@ -550,8 +541,8 @@ class LiveSession:
     def explain(self) -> str:
         """EXPLAIN ANALYZE-style report of the run, with a live section.
 
-        Requires ``enable_tracing`` (the decision log and metrics feed the
-        report); raises before :meth:`run`.
+        Requires ``enable_tracing`` (the decision log feeds the report);
+        raises before :meth:`run`.
         """
         from repro.obs.explain import ExplainData, render_explain
 

@@ -18,7 +18,7 @@ from typing import Any, Dict, Sequence, Tuple
 
 from repro.backend.graph import FrameGraph
 from repro.backend.runtime import ExecutionContext
-from repro.frontend.expr import Environment, Predicate
+from repro.frontend.expr import Predicate
 from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
 from repro.models.base import Detection
@@ -186,8 +186,7 @@ class VObjFilterOp(Operator):
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
         for node in graph.nodes(self.variable):
-            env = Environment({self.variable: node.state})
-            if not self.predicate.evaluate(env):
+            if not self.predicate.evaluate({self.variable: node.state}):
                 graph.remove_node(node)
         return graph
 
@@ -285,13 +284,11 @@ class RelationFilterOp(Operator):
         states = graph.relation_states.get(id(self.relation), {})
         surviving: Dict[Tuple[int, int], Any] = {}
         for pair, rel_state in states.items():
-            env = Environment(
-                {
-                    self.relation: rel_state,
-                    self.relation.subject: rel_state.subject,
-                    self.relation.object: rel_state.object,
-                }
-            )
+            env = {
+                self.relation: rel_state,
+                self.relation.subject: rel_state.subject,
+                self.relation.object: rel_state.object,
+            }
             if self.predicate.evaluate(env):
                 surviving[pair] = rel_state
         graph.relation_states[id(self.relation)] = surviving

@@ -114,9 +114,9 @@ class PlannerConfig:
     #: this much and near-contiguous per-camera segments stitch together.
     max_clock_skew_s: float = 0.5
     #: Engine-wide observability (:mod:`repro.obs`): span tracing with dual
-    #: wall-clock/virtual timestamps, a labeled metrics registry, the
-    #: decision log, and ``QueryResult.explain()``.  Off = every hook goes
-    #: to the shared do-nothing bundle and results are byte-identical.
+    #: wall-clock/virtual timestamps, the decision log, and
+    #: ``QueryResult.explain()``.  Off = every hook goes to the shared
+    #: do-nothing bundle and results are byte-identical.
     enable_tracing: bool = False
     #: Bound on retained decision records when tracing is on (aggregate
     #: counts stay exact past the bound).

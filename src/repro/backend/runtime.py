@@ -263,6 +263,15 @@ class RelationState:
         self.context = context
         self._cache: Dict[str, Any] = {}
 
+    def __getattr__(self, name: str) -> Any:
+        # A relation body runs with this state as ``self``; its other
+        # attribute reads (``self.threshold``) resolve on the declared
+        # relation class, so a subclass's override is honoured.
+        relation_type = self.__dict__.get("relation_type")
+        if relation_type is None or name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(relation_type, name)
+
     def get(self, name: str) -> Any:
         if name in self._cache:
             return self._cache[name]
@@ -473,8 +482,7 @@ class ExecutionContext:
                     lambda: self.model(model_name).detect(frame, self.clock),
                 )
 
-            obs = self.obs
-            with obs.tracer.span(
+            with self.obs.tracer.span(
                 "model-invocation",
                 clock=self.clock,
                 model=model_name,
@@ -482,7 +490,6 @@ class ExecutionContext:
                 kind="detector",
             ):
                 per_frame[model_name] = run()
-            obs.metrics.inc("detector_invocations", model=model_name)
             if frame.frame_id not in self.seeded_frames:
                 # Write-through as a side effect of scanning.  Seeded frames
                 # never reach here (their caches are pre-populated), but the
@@ -528,8 +535,7 @@ class ExecutionContext:
                 if tracked is None:
                     self._rebuild_tracker(key, frame_id, "table-miss" if contiguous else "frame-gap")
             if tracked is None:
-                obs = self.obs
-                with obs.tracer.span(
+                with self.obs.tracer.span(
                     "model-invocation",
                     clock=self.clock,
                     model=tracker_name,
@@ -537,7 +543,6 @@ class ExecutionContext:
                     kind="tracker",
                 ):
                     tracked = self._trackers[key].update(list(detections), self.clock)
-                obs.metrics.inc("tracker_invocations", model=tracker_name)
                 if contiguous:
                     self.index.record_track_ids(tracker_name, detector_name, frame_id, tracked)
             self._track_cursor[key] = frame_id + 1 if contiguous else None
@@ -586,9 +591,7 @@ class ExecutionContext:
                     f"index lost the {key[1]!r} detections of replayed frame {fid}"
                 )
             tracker.update(detections, self.clock)
-        obs = self.obs
-        obs.metrics.inc("tracker_invocations", replayed, model=key[0])
-        obs.decisions.record(
+        self.obs.decisions.record(
             "index-replay-rebuild", reason, model=key[0], frame_id=frame_id, replayed=replayed
         )
         return tracker

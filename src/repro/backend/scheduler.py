@@ -180,7 +180,6 @@ class FrameGate:
                 # FrameFilterOp would have, so single-plan cost accounting
                 # (and canary profiling) is unchanged by the hoist.
                 self.ctx.clock.charge("operator_overhead", OPERATOR_OVERHEAD_MS)
-                virt_start = self.ctx.clock.snapshot()
                 with self.obs.tracer.span(
                     "frame-gate-eval",
                     clock=self.ctx.clock,
@@ -194,9 +193,6 @@ class FrameGate:
                 if indexed:
                     self.stats.gate_cache_hits += 1
                 else:
-                    self.obs.metrics.observe(
-                        "gate_eval_ms", self.ctx.clock.since(virt_start), model=op.model_name
-                    )
                     self.stats.gate_evaluations += 1
             else:
                 self.stats.gate_cache_hits += 1
@@ -453,7 +449,6 @@ class ScanScheduler:
                             stride_from=before,
                             stride_to=controller.stride,
                         )
-                    self.obs.metrics.observe("stride_level", controller.stride)
 
         return self._finish_frame(frame)
 
@@ -646,7 +641,6 @@ class ScanScheduler:
             subject=leaf.query_name,
             mode=mode,
         )
-        self.obs.metrics.inc("frames_degraded", mode=mode)
 
     # -- stride sampling ----------------------------------------------------------
     def _build_cohorts(self) -> List[StrideCohort]:

@@ -87,7 +87,7 @@ class QuerySession:
         #: The MultiCameraSession behind the most recent execute_over call
         #: (exposes per-feed cost breakdowns); None after single-video runs.
         self.last_multi: Optional["MultiCameraSession"] = None
-        #: Observability bundle (tracer/metrics/decision log) of the most
+        #: Observability bundle (tracer and decision log) of the most
         #: recent execution; None unless ``enable_tracing`` was on.
         self.last_obs: Optional[Obs] = None
 

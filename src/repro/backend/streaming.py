@@ -449,7 +449,7 @@ class PlanStream(QueryStream):
                 f for f in self.result.matched_frames if f >= horizon
             ]
         # Positional per-frame cost samples cannot be pruned by frame id;
-        # live cost accounting comes from the clock and metrics instead.
+        # live cost accounting comes from the clock and LiveStats instead.
         del self.result.per_frame_ms[:]
 
     def finalize(self, video: SyntheticVideo, ctx: ExecutionContext) -> QueryResult:

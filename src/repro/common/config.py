@@ -116,10 +116,9 @@ class ReidConfig:
 class ObsConfig:
     """Observability knobs (:mod:`repro.obs`).
 
-    When enabled, one :class:`~repro.obs.core.Obs` bundle (span tracer,
-    metrics registry, decision log) is threaded through the whole
-    execution — session, planner, scheduler, model invocations, re-id —
-    and every :class:`~repro.backend.results.QueryResult` carries an
+    When enabled, one :class:`~repro.obs.core.Obs` bundle (span tracer and
+    decision log) is threaded through the whole execution — session,
+    planner, scheduler, model invocations, re-id — and every :class:`~repro.backend.results.QueryResult` carries an
     ``explain()`` payload.  Off by default: the engine then runs with the
     shared disabled bundle (:data:`repro.obs.core.DISABLED`), whose sinks
     discard everything, so each hook costs one no-op call.  Spans only

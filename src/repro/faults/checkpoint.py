@@ -118,7 +118,6 @@ class ScanCheckpointer:
         scheduler.obs.decisions.record(
             "checkpoint-taken", "checkpoint-interval", frame_id=next_frame
         )
-        scheduler.obs.metrics.inc("checkpoints_taken")
 
     # ----------------------------------------------------------- restore --
     def restore(self) -> Tuple[Any, int]:
@@ -152,7 +151,6 @@ class ScanCheckpointer:
             frame_id=cp.next_frame,
             resume=self.resumes_used,
         )
-        scheduler.obs.metrics.inc("scan_resumes")
         return scheduler, cp.next_frame
 
     # --------------------------------------------------------- internals --

@@ -109,10 +109,6 @@ class FaultManager:
         """Count into the scan's ``ScanStats`` (rebound after a resume)."""
         self.stats = stats
 
-    def _count_fault(self, kind: str) -> None:
-        self.stats.faults_injected += 1
-        self.obs.metrics.inc("faults_injected", kind=kind)
-
     # ------------------------------------------------------------ breakers --
     def breaker(self, model_name: str) -> CircuitBreaker:
         breaker = self._breakers.get(model_name)
@@ -157,7 +153,6 @@ class FaultManager:
                     break
                 self._backoff(model_name, frame_id, attempt)
                 self.stats.model_retries += 1
-                self.obs.metrics.inc("model_retries", model=model_name)
                 self.obs.decisions.record(
                     "model-retry",
                     "timeout" if isinstance(exc, ModelTimeoutError) else "transient-fault",
@@ -179,12 +174,12 @@ class FaultManager:
         cfg = self.config
         injector = self.injector
         if injector.model_dead(model_name, frame_id):
-            self._count_fault("permanent")
+            self.stats.faults_injected += 1
             raise TransientModelError(
                 f"model {model_name!r} is down at frame {frame_id} (injected permanent fault)"
             )
         if injector.transient_failure(model_name, frame_id, attempt):
-            self._count_fault("transient")
+            self.stats.faults_injected += 1
             raise TransientModelError(
                 f"model {model_name!r} failed transiently at frame {frame_id} (attempt {attempt})"
             )
@@ -193,14 +188,14 @@ class FaultManager:
         spent = self.clock.since(start)
         spiked = injector.latency_spike(model_name, frame_id, attempt)
         if spiked:
-            self._count_fault("latency-spike")
+            self.stats.faults_injected += 1
         effective = spent * (cfg.latency_spike_factor if spiked else 1.0)
         if cfg.timeout_ms is not None and effective > cfg.timeout_ms:
             # The attempt is abandoned at the budget: charge at most the
             # budget, never the full (spiked) cost.
             if spent < cfg.timeout_ms:
                 self.clock.charge(f"fault-timeout:{model_name}", cfg.timeout_ms - spent)
-            self._count_fault("timeout")
+            self.stats.faults_injected += 1
             raise ModelTimeoutError(
                 f"model {model_name!r} exceeded its {cfg.timeout_ms:.1f}ms budget "
                 f"at frame {frame_id} (attempt {attempt})"
@@ -227,14 +222,14 @@ class FaultManager:
         """
         died_at = self.injector.feed_death_frame(frame_id)
         if died_at is not None:
-            self._count_fault("feed-death")
+            self.stats.faults_injected += 1
             raise FeedFailedError(
                 f"feed {self.feed!r} died at frame {died_at} (injected feed death)",
                 feed=self.feed,
                 frame_id=died_at,
             )
         if self.injector.crash_now(frame_id):
-            self._count_fault("crash")
+            self.stats.faults_injected += 1
             raise ExecutionError(
                 f"injected scan crash on feed {self.feed!r} at frame {frame_id}"
             )

@@ -8,7 +8,6 @@ registration hooks (``register_model``, ``@vobj_filter``, ``@frame_filter``).
 """
 
 from repro.frontend.expr import (
-    Environment,
     Predicate,
     PropertyRef,
     TRUE,
@@ -49,7 +48,6 @@ from repro.frontend.registry import get_library_zoo, register_model, reset_libra
 from repro.frontend import builtin
 
 __all__ = [
-    "Environment",
     "Predicate",
     "PropertyRef",
     "TRUE",

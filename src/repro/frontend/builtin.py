@@ -162,7 +162,7 @@ class CloseTo(Relation):
 
     @stateless(inputs=("distance",))
     def is_close(self, distance):
-        return distance < type(self).threshold
+        return distance < self.threshold
 
 
 class PersonBallInteraction(Relation):

@@ -23,24 +23,11 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 from repro.common.errors import QueryDefinitionError
 
 
-class Environment:
-    """Maps query variables to runtime accessors during evaluation.
-
-    An *accessor* is anything with a ``get(property_name)`` method returning
-    the property's current value (or ``None`` when unavailable) — the
-    backend's runtime VObj states implement this.
-    """
-
-    def __init__(self, bindings: Mapping[Any, Any]) -> None:
-        self._bindings = dict(bindings)
-
-    def lookup(self, variable: Any) -> Optional[Any]:
-        return self._bindings.get(variable)
-
-    def bind(self, variable: Any, accessor: Any) -> "Environment":
-        new = dict(self._bindings)
-        new[variable] = accessor
-        return Environment(new)
+#: What expressions evaluate against: query variable -> runtime accessor,
+#: anything with a ``get(property_name)`` method returning the property's
+#: current value (or ``None`` when unavailable) — the backend's runtime
+#: VObj states implement this.  A plain dict, read as is.
+Env = Mapping[Any, Any]
 
 
 class _Missing:
@@ -62,7 +49,7 @@ class ValueExpr(ABC):
     """An expression producing a value (not a truth value)."""
 
     @abstractmethod
-    def resolve(self, env: Environment) -> Any:
+    def resolve(self, env: Env) -> Any:
         """The expression's value under ``env`` (may be :data:`MISSING`)."""
 
     @abstractmethod
@@ -125,7 +112,7 @@ class Literal(ValueExpr):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def resolve(self, env: Environment) -> Any:
+    def resolve(self, env: Env) -> Any:
         return self.value
 
     def variables(self) -> Set[Any]:
@@ -145,8 +132,8 @@ class PropertyRef(ValueExpr):
         self.variable = variable
         self.property_name = property_name
 
-    def resolve(self, env: Environment) -> Any:
-        accessor = env.lookup(self.variable)
+    def resolve(self, env: Env) -> Any:
+        accessor = env.get(self.variable)
         if accessor is None:
             return MISSING
         value = accessor.get(self.property_name)
@@ -176,7 +163,7 @@ class DerivedRef(ValueExpr):
         self.args = list(args)
         self.label = label
 
-    def resolve(self, env: Environment) -> Any:
+    def resolve(self, env: Env) -> Any:
         values = [a.resolve(env) for a in self.args]
         if any(v is MISSING for v in values):
             return MISSING
@@ -224,7 +211,7 @@ class Predicate(ABC):
     """A boolean expression over query variables."""
 
     @abstractmethod
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         """Truth value under ``env`` (missing properties make it ``False``)."""
 
     @abstractmethod
@@ -266,7 +253,7 @@ def _check_predicate(value: Any) -> "Predicate":
 class TruePredicate(Predicate):
     """Always true; the neutral element for conjunction."""
 
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         return True
 
     def variables(self) -> Set[Any]:
@@ -294,7 +281,7 @@ class Comparison(Predicate):
         self.op = op
         self.right = right
 
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         lhs = self.left.resolve(env)
         rhs = self.right.resolve(env)
         if lhs is MISSING or rhs is MISSING:
@@ -326,7 +313,7 @@ class FunctionPredicate(Predicate):
         self.args = list(args)
         self.label = label
 
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         values = [a.resolve(env) for a in self.args]
         if any(v is MISSING for v in values):
             return False
@@ -369,7 +356,7 @@ class And(Predicate):
                 flat.append(child)
         self.children = flat
 
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         return all(c.evaluate(env) for c in self.children)
 
     def variables(self) -> Set[Any]:
@@ -405,7 +392,7 @@ class Or(Predicate):
                 flat.append(child)
         self.children = flat
 
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         return any(c.evaluate(env) for c in self.children)
 
     def variables(self) -> Set[Any]:
@@ -431,7 +418,7 @@ class Not(Predicate):
     def __init__(self, child: Predicate) -> None:
         self.child = _check_predicate(child)
 
-    def evaluate(self, env: Environment) -> bool:
+    def evaluate(self, env: Env) -> bool:
         return not self.child.evaluate(env)
 
     def variables(self) -> Set[Any]:

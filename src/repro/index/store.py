@@ -203,8 +203,8 @@ class IndexView:
     """One execution's window onto the store, bound to a (video, zoo) pair.
 
     The view resolves model versions against the zoo it was created with,
-    translates store lookups into the engine's vocabulary (decisions,
-    metrics, explain counters), and owns the post-scan finalization that
+    translates store lookups into the engine's vocabulary (decisions and
+    the explain counters), and owns the post-scan finalization that
     records per-video statistics.
     """
 
@@ -231,7 +231,6 @@ class IndexView:
     def _count_hit(self, kind: str, model_name: str, frame_id: Optional[int]) -> None:
         self.counters["hits"] += 1
         self.obs.decisions.record("index-hit", kind, model=model_name, frame_id=frame_id)
-        self.obs.metrics.inc("index_hits", model=model_name, kind=kind)
 
     def _lookup(self, kind: str, model_name: str, entry_key: str, frame_id: Optional[int]) -> Tuple[str, Any]:
         status, value = self.store.lookup(
@@ -242,7 +241,6 @@ class IndexView:
             self._count_hit(kind, model_name, frame_id)
         elif status == _STALE:
             self.counters["stale"] += 1
-            obs.metrics.inc("index_stale", model=model_name, kind=kind)
             if (kind, model_name) not in self._stale_noted:
                 self._stale_noted.add((kind, model_name))
                 obs.decisions.record(
@@ -255,7 +253,6 @@ class IndexView:
         else:
             self.counters["misses"] += 1
             obs.decisions.record("index-miss", kind, model=model_name, frame_id=frame_id)
-            obs.metrics.inc("index_misses", model=model_name, kind=kind)
         return status, value
 
     def _record(
@@ -272,7 +269,6 @@ class IndexView:
         self.store.record(self.video_key, kind, model_name, version, entry_key, value)
         self.counters["written"] += 1
         self.obs.decisions.record("index-written", kind, model=model_name, frame_id=frame_id)
-        self.obs.metrics.inc("index_writes", model=model_name, kind=kind)
 
     # ------------------------------------------------------------- detections --
     def lookup_detections(self, model_name: str, frame_id: int) -> Optional[List[Detection]]:

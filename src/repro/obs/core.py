@@ -1,4 +1,4 @@
-"""The ``Obs`` bundle: one tracer + metrics registry + decision log.
+"""The ``Obs`` bundle: one tracer + decision log.
 
 A single ``Obs`` instance is shared across every layer of one execution
 (session → executor → scheduler → context → re-id), so a multi-feed batch
@@ -7,13 +7,16 @@ produces one coherent trace with parallel feed lanes and one decision log.
 Inside the engine an ``Obs`` is always present.  With tracing off,
 ``Obs.from_config`` returns :data:`DISABLED`, a shared bundle whose sinks
 discard everything (:class:`~repro.obs.trace.NullTracer`,
-:class:`~repro.obs.metrics.NullMetrics`,
 :class:`~repro.obs.decisions.NullDecisionLog`), so every hook is one plain
 no-op call and no obs object is built per execution.  ``enabled`` tells
 the few call sites whose record arguments are real work whether to build
 them.  Spans never charge the ``SimClock``, so results are byte-identical
 either way.  The public handles (``QueryResult.obs``, ``last_obs``) stay
 None when tracing is off.
+
+The bundle holds no counters: each count lives in exactly one record,
+``ScanStats``/``LiveStats``, the clock's ``calls``, the index view's
+``counters``, or the decision log (see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Optional
 
 from repro.common.config import ObsConfig
 from repro.obs.decisions import DecisionLog, NullDecisionLog
-from repro.obs.metrics import MetricsRegistry, NullMetrics
 from repro.obs.trace import NullTracer, Tracer
 
 
@@ -34,11 +36,9 @@ class Obs:
         self.enabled = self.config.enabled
         if self.enabled:
             self.tracer = Tracer(max_spans=self.config.max_spans)
-            self.metrics = MetricsRegistry()
             self.decisions = DecisionLog(max_records=self.config.max_decision_records)
         else:
             self.tracer = NullTracer()
-            self.metrics = NullMetrics()
             self.decisions = NullDecisionLog()
 
     @classmethod

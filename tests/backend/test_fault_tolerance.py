@@ -401,7 +401,7 @@ class TestCheckpointResume:
             chaos_video(), ft_config(fault_config, enable_tracing=True)
         )
         assert session.last_context.scan_stats.scan_resumes == 2
-        assert session.last_obs.metrics.counter("scan_resumes") == 2
+        assert session.last_obs.decisions.count("scan-resumed") == 2
         assert result.matched_frames == base.matched_frames
         assert result.matches == base.matches
         base_clock = base_session.last_context.clock

@@ -9,7 +9,7 @@ from repro.backend.session import QuerySession
 from repro.common.clock import SimClock
 from repro.common.config import FaultConfig
 from repro.common.errors import ExecutionError
-from repro.frontend.builtin import Ball, Car, Person, PersonBallInteraction
+from repro.frontend.builtin import Ball, Car, CloseTo, Person, PersonBallInteraction
 from repro.frontend.query import Query
 from repro.models.base import Detection
 from repro.videosim.datasets import camera_clip
@@ -179,6 +179,61 @@ class TestRelationState:
 
         rel_state = ctx.relation_state(GetsInto, p_state, c_state, frame)
         assert rel_state.get("interaction") in ("get_into", None)
+
+
+class TightCloseTo(CloseTo):
+    threshold = 10.0
+
+
+class WideCloseTo(CloseTo):
+    threshold = 400.0
+
+
+class CloseQuery(Query):
+    """Person/car pairs; ``relation=None`` keeps every pair (the reference)."""
+
+    def __init__(self, relation=None):
+        self.person = Person("person")
+        self.car = Car("car")
+        self.close = (relation or CloseTo)(self.person, self.car, "close")
+        self.constrained = relation is not None
+
+    def frame_constraint(self):
+        if self.constrained:
+            return self.close.is_close == True  # noqa: E712
+        return self.close.distance >= 0
+
+    def frame_output(self):
+        return (self.close.distance,)
+
+
+def close_pairs(result):
+    return {
+        (frame_id, record.binding): record.outputs[0]
+        for frame_id, records in result.matches.items()
+        for record in records
+    }
+
+
+class TestRelationBodies:
+    """A relation body reads its declared class's attributes as ``self.x``."""
+
+    @pytest.fixture(scope="class")
+    def street(self):
+        return camera_clip("jackson", 20, seed=12)
+
+    def run(self, video, query):
+        return QuerySession(video, config=PlannerConfig(profile_plans=False)).execute(query)
+
+    @pytest.mark.parametrize("relation", [CloseTo, TightCloseTo, WideCloseTo])
+    def test_is_close_honours_the_relation_threshold(self, street, relation):
+        every_pair = close_pairs(self.run(street, CloseQuery()))
+        close = close_pairs(self.run(street, CloseQuery(relation)))
+        expected = {k: d for k, d in every_pair.items() if d < relation.threshold}
+        assert close == expected
+        if relation is WideCloseTo:
+            assert close, "the wide threshold should keep some pairs"
+            assert len(close) < len(every_pair)
 
 
 class TestExecutionContextSharing:

@@ -7,7 +7,6 @@ from repro.common.errors import QueryDefinitionError
 from repro.frontend.expr import (
     And,
     Comparison,
-    Environment,
     Literal,
     MISSING,
     Not,
@@ -31,7 +30,7 @@ class FakeState:
 
 
 def env_for(var, **values):
-    return Environment({var: FakeState(values)})
+    return {var: FakeState(values)}
 
 
 class TestComparisons:
@@ -53,7 +52,7 @@ class TestComparisons:
     def test_missing_property_is_false(self):
         car = Car("c")
         assert not (car.color == "red").evaluate(env_for(car))
-        assert not (car.color == "red").evaluate(Environment({}))
+        assert not (car.color == "red").evaluate({})
 
     def test_type_error_is_false(self):
         car = Car("c")
@@ -71,7 +70,7 @@ class TestComparisons:
         car = Car("c")
         person = Person("p")
         pred = car.frame_id == person.frame_id
-        env = Environment({car: FakeState({"frame_id": 3}), person: FakeState({"frame_id": 3})})
+        env = {car: FakeState({"frame_id": 3}), person: FakeState({"frame_id": 3})}
         assert pred.evaluate(env)
 
 
@@ -101,7 +100,7 @@ class TestLogicalConnectives:
             (car.color == "red") & 5
 
     def test_true_predicate(self):
-        assert TRUE.evaluate(Environment({})) is True
+        assert TRUE.evaluate({}) is True
         assert TRUE.conjuncts() == []
         assert conjunction([]) is TRUE
         assert conjunction([TRUE, TRUE]) is TRUE
@@ -114,19 +113,17 @@ class TestDerivedAndFunctionPredicates:
 
         distance = compute(lambda a, b: a.center_distance(b), car.bbox, person.bbox, label="distance")
         pred = distance < 50
-        env = Environment(
-            {
-                car: FakeState({"bbox": BBox.from_center(0, 0, 10, 10)}),
-                person: FakeState({"bbox": BBox.from_center(30, 40, 10, 10)}),
-            }
-        )
+        env = {
+            car: FakeState({"bbox": BBox.from_center(0, 0, 10, 10)}),
+            person: FakeState({"bbox": BBox.from_center(30, 40, 10, 10)}),
+        }
         assert not pred.evaluate(env)
         assert (distance < 51).evaluate(env)
 
     def test_missing_input_propagates(self):
         car, person = Car("c"), Person("p")
         derived = compute(lambda a, b: a + b, car.score, person.score)
-        env = Environment({car: FakeState({"score": 1.0})})
+        env = {car: FakeState({"score": 1.0})}
         assert derived.resolve(env) is MISSING
 
     def test_predicate_helper(self):

@@ -10,7 +10,7 @@ table (a warm scan serves tracker output and rebuilds the live tracker at
 the first divergence), the planner's consumption of observed
 per-video statistics (``enable_video_index`` replacing the
 ``stride_stable_fraction`` prior), and the observability surface
-(``index_hits``/``index_misses`` metrics, decisions, explain section).
+(the index view's counters, decisions, explain section).
 """
 
 from __future__ import annotations
@@ -441,14 +441,20 @@ class TestObservability:
         config = indexed_config(enable_tracing=True)
         cold = QuerySession(video, config=config, index_store=store)
         cold.execute(RedCarQuery())
-        cold_counters = cold.last_obs.metrics.snapshot()["counters"]
-        assert any(key.startswith("index_misses") for key in cold_counters)
-        assert any(key.startswith("index_writes") for key in cold_counters)
+        cold_counters = cold.last_context.index.counters
+        assert cold_counters["misses"] > 0
+        assert cold_counters["written"] > 0
+        assert cold.last_obs.decisions.count("index-miss") == cold_counters["misses"]
+        # The per-video statistics are one more written record, not an entry.
+        written = cold.last_obs.decisions.count("index-written")
+        assert written - 1 == cold_counters["written"]
+        assert cold.last_obs.decisions.count("index-written", "video-stats") == 1
 
         warm = QuerySession(video, config=config, index_store=store)
         result = warm.execute(RedCarQuery())
-        warm_counters = warm.last_obs.metrics.snapshot()["counters"]
-        assert any(key.startswith("index_hits") for key in warm_counters)
+        warm_counters = warm.last_context.index.counters
+        assert warm_counters["hits"] > 0
+        assert warm.last_obs.decisions.count("index-hit") == warm_counters["hits"]
         summary = warm.last_obs.decisions.summary()
         assert "index-hit" in summary
         text = result.explain()

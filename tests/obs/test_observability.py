@@ -1,7 +1,7 @@
 """Integration tests for engine-wide observability.
 
 The contract under test: ``PlannerConfig(enable_tracing=True)`` yields
-spans, metrics, decision records, and ``explain()`` — while leaving every
+spans, decision records, and ``explain()`` — while leaving every
 result byte-identical to an untraced run; ``enable_tracing=False`` (the
 default) leaves the engine inert (every hook goes to the shared disabled
 bundle, and every public obs handle stays None).
@@ -15,12 +15,13 @@ import pytest
 
 from repro.backend.live import LiveSession
 from repro.backend.planner import PlannerConfig
+from repro.backend.scheduler import ScanStats
 from repro.backend.session import MultiCameraSession, QuerySession
 from repro.common.config import FaultConfig, VideoSpec
 from repro.faults import NO_FAULTS
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
-from repro.index.store import NO_INDEX
+from repro.index.store import NO_INDEX, VideoIndexStore
 from repro.videosim.datasets import camera_clip
 from repro.videosim.entities import ObjectSpec
 from repro.videosim.livefeed import LiveFeed
@@ -281,13 +282,20 @@ class TestTracedRun:
         assert "Frame gate:" in report
         assert "Detector budget:" in report
 
-    def test_metrics_registry_counts_model_invocations(self, traced):
+    def test_spans_match_the_clock_model_invocations(self, traced):
         session, _ = traced
-        obs = session.last_obs
-        ctx = session.last_context
-        yolox_calls = ctx.clock.calls.get("yolox", 0)
-        assert obs.metrics.counter("detector_invocations", model="yolox") == yolox_calls
-        assert obs.metrics.histogram("gate_eval_ms", model="no_red_on_road").count > 0
+        tracer = session.last_trace
+        yolox_calls = session.last_context.clock.calls.get("yolox", 0)
+        detector_spans = [
+            s for s in tracer.spans("model-invocation") if s.attrs["model"] == "yolox"
+        ]
+        assert yolox_calls > 0
+        assert len(detector_spans) == yolox_calls
+        gate_spans = [
+            s for s in tracer.spans("frame-gate-eval") if s.attrs["model"] == "no_red_on_road"
+        ]
+        assert gate_spans
+        assert all(s.virt_ms is not None for s in gate_spans)
 
     def test_decision_log_accounts_for_all_gated_frames(self, traced):
         session, _ = traced
@@ -318,7 +326,94 @@ class TestStrideDecisions:
         raises = obs.decisions.records("stride-raised")
         assert raises
         assert all(dict(d.attrs)["stride_to"] > dict(d.attrs)["stride_from"] for d in raises)
-        assert obs.metrics.histogram("stride_level").count > 0
+        # The stride level is the chain of stride moves: each move of a
+        # query starts where its previous move ended.
+        level = {}
+        for d in obs.decisions.records():
+            if d.action in ("stride-raised", "stride-reset"):
+                attrs = dict(d.attrs)
+                assert attrs["stride_from"] == level.get(d.subject, 1)
+                level[d.subject] = attrs["stride_to"]
+
+
+# -- one count, one record -------------------------------------------------------
+
+
+def test_scan_stats_as_dict_compatibility_view():
+    stats = ScanStats(frames_scanned=3, leaf_frames_gated=2)
+    d = stats.as_dict()
+    assert d["frames_scanned"] == 3
+    assert d["leaf_frames_gated"] == 2
+    assert d["early_exit_frame"] is None
+    assert ScanStats.from_dict(d) == stats
+    assert ScanStats(**d) == stats
+
+
+class TestDecisionsMatchCounters:
+    """Every decision that mirrors a counter is recorded once per count.
+
+    Single feed and no crash: a resume rolls ``ScanStats`` back to the
+    checkpoint but keeps the decisions recorded after it.
+    """
+
+    def test_faulted_indexed_batch(self, clip, zoo):
+        config = PlannerConfig(
+            profile_plans=False,
+            enable_tracing=True,
+            enable_fault_tolerance=True,
+            fault_config=FaultConfig(
+                seed=11, transient_rate=0.05, dead_models=(("color_detect", 60),)
+            ),
+            enable_video_index=True,
+        )
+        store = VideoIndexStore()
+        for run in ("cold", "warm"):
+            session = QuerySession(clip, zoo=zoo, config=config, index_store=store)
+            session.execute_many(batch())
+            stats = session.last_context.scan_stats
+            counters = session.last_context.index.counters
+            decisions = session.last_obs.decisions
+            assert decisions.evicted == 0
+            assert stats.model_retries > 0 and stats.circuit_opens > 0
+            assert stats.leaf_frames_gated > 0
+            assert counters["hits" if run == "warm" else "misses"] > 0
+            assert decisions.count("model-retry") == stats.model_retries
+            assert decisions.count("circuit-opened") == stats.circuit_opens
+            assert decisions.count("frame-gated") == stats.leaf_frames_gated
+            assert decisions.count("index-hit") == counters["hits"]
+            assert decisions.count("index-miss") == counters["misses"]
+
+    def test_overloaded_live_run(self, clip, zoo):
+        feed = LiveFeed(
+            clip,
+            fps=clip.fps * 3,
+            seed=5,
+            reorder_rate=0.1,
+            duplicate_rate=0.05,
+            disconnects=((1000.0, 1800.0),),
+        )
+        config = PlannerConfig(
+            profile_plans=False,
+            enable_live=True,
+            enable_tracing=True,
+            enable_stride_sampling=True,
+        )
+        config = replace(
+            config,
+            live_config=replace(
+                config.live_config, max_buffered_frames=16, stall_timeout_ms=200.0
+            ),
+        )
+        session = LiveSession(feed, zoo=zoo, config=config)
+        stats = session.run(batch())
+        decisions = session.last_obs.decisions
+        assert decisions.evicted == 0
+        assert stats.frames_shed > 0 and stats.frames_late_dropped > 0
+        assert stats.frames_reordered > 0 and stats.reconnects > 0
+        assert decisions.count("frame-shed") == stats.frames_shed
+        assert decisions.count("late-frame-dropped") == stats.frames_late_dropped
+        assert decisions.count("frame-reordered") == stats.frames_reordered
+        assert decisions.count("feed-reconnected") == stats.reconnects
 
 
 # -- multi-camera -----------------------------------------------------------------
