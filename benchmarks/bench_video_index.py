@@ -7,7 +7,8 @@ Two measurements, both CI gates:
    semantically identical results (matched frames, events, aggregates);
    with stride sampling off it must also make 0 tracker invocations (the
    tracker output is replayed from the index) and return the cold scan's
-   track ids;
+   track ids, and it must render the ground truth of no more frames than
+   it makes live model calls (frames the index answers are never decoded);
 2. disabled identity — with ``enable_video_index=False`` (the default)
    results must be byte-identical to an engine without the index, down
    to the virtual-clock cost breakdown.
@@ -23,11 +24,13 @@ from _scale import scaled
 
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
+from repro.faults.resilience import InertFaults
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
 from repro.frontend.registry import get_library_zoo
 from repro.videosim.datasets import camera_clip
 from repro.videosim.multicam import handoff_scenario
+from repro.videosim.video import SyntheticVideo
 
 #: Index on; profiling off so detector counts are exactly the scan's.
 INDEXED = PlannerConfig(profile_plans=False, enable_video_index=True)
@@ -85,21 +88,39 @@ def _tracker_calls(session):
     return session.last_context.clock.calls.get("kalman_tracker", 0)
 
 
+def _spy(monkeypatch, cls, name, log):
+    """Append each call's arguments to ``log``, then make the call."""
+    real = getattr(cls, name)
+
+    def spy(self, *args):
+        log.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+
+
 def _signature(result):
     """The semantic answer — everything but the (legitimately cheaper) cost."""
     return (result.matched_frames, result.matches, result.events, result.aggregates)
 
 
-def test_warm_requery_skips_detectors(benchmark):
+def test_warm_requery_skips_detectors(benchmark, monkeypatch):
     """Cold scan populates the index; the warm re-query must be ≤5% (CI gate)."""
     video = camera_clip("banff", duration_s=scaled(120.0, minimum=20.0), seed=1)
     zoo = get_library_zoo()
     batch = lambda: [_GatedRedCarQuery(), _PersonQuery()]
+    # Every ground-truth render, and every live model call (the index
+    # config has no fault tolerance, so each one goes through NO_FAULTS).
+    renders, model_calls = [], []
+    _spy(monkeypatch, SyntheticVideo, "_render", renders)
+    _spy(monkeypatch, InertFaults, "invoke", model_calls)
 
     cold = QuerySession(video, zoo=zoo, config=INDEXED)
     cold_results = cold.execute_many(batch())
     cold_calls = _detector_calls(cold)
     assert cold_calls > 0
+    materialized_cold = len(renders)
+    del renders[:], model_calls[:]
 
     def run_warm():
         session = QuerySession(
@@ -111,6 +132,7 @@ def test_warm_requery_skips_detectors(benchmark):
     warm_calls = _detector_calls(warm)
     warm_tracker_calls = _tracker_calls(warm)
     counters = warm.last_context.index.counters
+    materialized_warm = len(renders)
 
     payload = {
         "num_frames": video.num_frames,
@@ -122,6 +144,9 @@ def test_warm_requery_skips_detectors(benchmark):
         "tracker_invocations_warm": warm_tracker_calls,
         "index_hits_warm": counters["hits"],
         "index_misses_warm": counters["misses"],
+        "frames_materialized_cold": materialized_cold,
+        "frames_materialized_warm": materialized_warm,
+        "live_model_calls_warm": len(model_calls),
         "simulated_ms_cold": round(cold.last_context.clock.elapsed_ms, 1),
         "simulated_ms_warm": round(warm.last_context.clock.elapsed_ms, 1),
         "simulated_speedup_x": round(
@@ -133,10 +158,12 @@ def test_warm_requery_skips_detectors(benchmark):
     _emit_json("warm_requery", payload)
 
     # CI gates: ≤5% of the cold detector invocations, no tracker run (the
-    # config is stride-off), identical answers and identical track ids.
+    # config is stride-off), no more frames rendered than live model calls
+    # made, identical answers and identical track ids.
     assert not INDEXED.enable_stride_sampling
     assert warm_calls <= 0.05 * cold_calls
     assert warm_tracker_calls == 0
+    assert materialized_warm <= len(model_calls)
     for got, want in zip(warm_results, cold_results):
         assert _signature(got) == _signature(want)
         assert got.distinct_tracks() == want.distinct_tracks()

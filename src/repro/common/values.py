@@ -13,6 +13,13 @@ must never gain a mutable field of its own: a snapshot and the live scan
 would both see the change.  Mapping fields that point at video-owned data
 (``GTInstance.attributes``, ``Frame.scene_attributes``) are read-only by
 convention; the video is shared with every snapshot anyway.
+
+One exception: a memo that caches a pure function of the value's own
+immutable, video-owned inputs may be filled after construction.
+``Frame.instances`` is the only one: the frame's ground truth, rendered
+from its id and its video's script on first read.  A snapshot that shares
+the frame shares the memo, which is sound because whoever fills it, and
+whenever, stores an equal tuple; equality, hash and repr ignore it.
 """
 
 from __future__ import annotations

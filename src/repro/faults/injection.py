@@ -94,7 +94,9 @@ class FaultInjector:
         reader see that the frame arrived faulty.  The ground-truth payload
         is left intact: degraded frames are still *processed* (over
         interpolation-seeded detections), and property models resolve their
-        values against ``frame.instances``.
+        values against ``frame.instances``.  ``replace`` copies only the
+        frame's header and its video, so a tagged frame is still unrendered
+        and renders the same ground truth on first read.
         """
         kind = self.frame_fault(frame.frame_id)
         if kind is not None:

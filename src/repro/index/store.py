@@ -379,6 +379,7 @@ class IndexView:
         if observe_stability and stats.frames_scanned > 0:
             payload["stable_fraction"] = stats.frames_interpolated / stats.frames_scanned
         self.store.record_stats(self.video_key, payload)
+        self.counters["written"] += 1
         self.obs.decisions.record("index-written", "video-stats", video=self.video_key)
 
     def summary(self) -> Dict[str, Any]:

@@ -2,7 +2,8 @@
 
 An :class:`ObjectSpec` describes one real-world entity across its lifetime
 in a clip (class, static attributes, trajectory, size, lifespan).  The video
-generator materialises one :class:`GTInstance` per visible object per frame.
+renders one :class:`GTInstance` per visible object of each frame a model
+reads.
 :class:`InteractionEvent` scripts object–object interactions (person gets
 into car, car hits person, person hits ball) over a frame range.
 """

@@ -1,10 +1,18 @@
-"""Frame materialisation and video reading.
+"""Frame handles and video reading.
 
 A :class:`SyntheticVideo` combines a :class:`~repro.common.config.VideoSpec`
 with the scripted :class:`~repro.videosim.entities.ObjectSpec` population and
 :class:`~repro.videosim.entities.InteractionEvent` list produced by a dataset
-preset.  Frames are materialised on demand; each frame carries the ground
-truth that the simulated models observe.
+preset.
+
+Rendering a frame's ground truth stands in for decoding it, and it is
+deferred until something reads it.  :meth:`SyntheticVideo.frame` returns a
+cheap :class:`Frame` handle: id, timestamp, size and scene attributes.  The
+frame's :class:`~repro.videosim.entities.GTInstance` tuple is rendered the
+first time a model reads ``instances`` (directly or through
+``instances_of``, ``instance_by_id`` or ``num_objects``) and is cached on
+the frame.  A frame no model reads, such as one the persistent index
+answers or one a live session sheds, is never rendered.
 """
 
 from __future__ import annotations
@@ -21,16 +29,32 @@ MIN_VISIBLE_AREA = 16.0
 
 
 @shared_value
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """One video frame's ground truth."""
+    """A handle on one video frame; its ground truth is rendered on first read.
+
+    ``instances`` is the one memo a shared value may fill after
+    construction (see :mod:`repro.common.values`): a pure function of the
+    frame id and the video's immutable script, so every copy and every
+    thread sees equal tuples whether or not it is filled.  Equality, hash
+    and repr never depend on it.  Two frames are equal when their headers
+    are equal and they render the same ground truth.
+    """
 
     frame_id: int
     timestamp: float
     width: int
     height: int
-    instances: Tuple[GTInstance, ...]
+    video: "SyntheticVideo" = field(repr=False)
     scene_attributes: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def instances(self) -> Tuple[GTInstance, ...]:
+        memo = self.__dict__.get("_instances")
+        if memo is None:
+            # Two threads may both render; they store equal tuples.
+            memo = self.__dict__["_instances"] = self.video._render(self.frame_id)
+        return memo
 
     def instances_of(self, class_name: str) -> List[GTInstance]:
         return [inst for inst in self.instances if inst.class_name == class_name]
@@ -44,6 +68,19 @@ class Frame:
     @property
     def num_objects(self) -> int:
         return len(self.instances)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (
+            (self.frame_id, self.timestamp, self.width, self.height)
+            == (other.frame_id, other.timestamp, other.width, other.height)
+            and self.scene_attributes == other.scene_attributes
+            and (self.video is other.video or self.instances == other.instances)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.frame_id, self.timestamp, self.width, self.height))
 
 
 class SyntheticVideo:
@@ -87,7 +124,7 @@ class SyntheticVideo:
     def __len__(self) -> int:
         return self.num_frames
 
-    # -- frame materialisation ---------------------------------------------
+    # -- frame handles and rendering -----------------------------------------
     def _interactions_for(self, object_id: int, frame_id: int) -> Tuple[Tuple[str, int, bool], ...]:
         out: List[Tuple[str, int, bool]] = []
         for ev in self._events_by_object.get(object_id, ()):
@@ -99,9 +136,20 @@ class SyntheticVideo:
         return tuple(out)
 
     def frame(self, frame_id: int) -> Frame:
-        """Materialise the ground truth of one frame."""
+        """A handle on one frame; its ground truth is rendered on first read."""
         if not 0 <= frame_id < self.num_frames:
             raise IndexError(f"frame {frame_id} out of range [0, {self.num_frames})")
+        return Frame(
+            frame_id=frame_id,
+            timestamp=frame_id / self.fps,
+            width=self.spec.width,
+            height=self.spec.height,
+            video=self,
+            scene_attributes=self.scene_attributes,
+        )
+
+    def _render(self, frame_id: int) -> Tuple[GTInstance, ...]:
+        """The ground truth of one frame: every scripted object visible in it."""
         instances: List[GTInstance] = []
         for obj in self.objects:
             if not obj.alive_at(frame_id):
@@ -121,14 +169,7 @@ class SyntheticVideo:
                     interactions=self._interactions_for(obj.object_id, frame_id),
                 )
             )
-        return Frame(
-            frame_id=frame_id,
-            timestamp=frame_id / self.fps,
-            width=self.spec.width,
-            height=self.spec.height,
-            instances=tuple(instances),
-            scene_attributes=self.scene_attributes,
-        )
+        return tuple(instances)
 
     def frames(self, start: int = 0, stop: Optional[int] = None) -> Iterator[Frame]:
         stop = self.num_frames if stop is None else min(stop, self.num_frames)
@@ -159,7 +200,10 @@ class VideoReader:
 
     This is the source operator of every pipeline (paper §4.1).  Reading a
     frame charges a small decode cost to the clock when one is attached, so
-    pipelines cannot be faster than the stream itself.
+    pipelines cannot be faster than the stream itself.  The reader yields
+    frame handles; a frame's ground truth is rendered only when a model
+    reads it.  The decode charge is per frame read either way, so virtual
+    time does not depend on which frames get rendered.
     """
 
     #: Virtual decode cost per frame-megapixel.

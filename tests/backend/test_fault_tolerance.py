@@ -39,7 +39,7 @@ from repro.frontend.query import Query
 from repro.models.base import Detection
 from repro.videosim.entities import GTInstance, ObjectSpec
 from repro.videosim.trajectory import LinearTrajectory
-from repro.videosim.video import Frame, SyntheticVideo
+from repro.videosim.video import SyntheticVideo
 
 
 class RedCarQuery(Query):
@@ -456,7 +456,7 @@ def shared_value_samples():
         MatchRecord(0, (("car", 3),), outputs=(3, box)),
         Event(0, 4, (("car", 3),), skipped_frames=(2,)),
         gt,
-        Frame(0, 0.0, 640, 480, (gt,)),
+        chaos_video().frame(0),
     ]
 
 

@@ -28,6 +28,7 @@ from repro.common.errors import ExecutionError, FeedFailedError
 from repro.frontend.builtin import Car, Person
 from repro.frontend.higher_order import DurationQuery
 from repro.frontend.query import Query
+from repro.videosim.datasets import camera_clip
 from repro.videosim.entities import ObjectSpec
 from repro.videosim.livefeed import LiveFeed
 from repro.videosim.trajectory import LinearTrajectory, StationaryTrajectory
@@ -247,6 +248,26 @@ class TestOverload:
             f for a in session.alerts() for f in a.event.skipped_frames
         }
         assert skipped, "shed frames inside events must be labelled"
+
+
+class TestDecodeOnDemand:
+    def test_shed_frames_are_never_rendered(self, zoo, renders):
+        """Shed frames are never rendered; strided ones only when a model reads them."""
+        clip = camera_clip("jackson", duration_s=8, seed=2)
+        feed = LiveFeed(clip, fps=clip.fps * 3, seed=CHAOS_SEED)
+        config = live_config(
+            enable_stride_sampling=True, enable_tracing=True, max_buffered_frames=16
+        )
+        session = LiveSession(feed, zoo=zoo, config=config)
+        stats = session.run([RedCarQuery(), PersonQuery()])
+        decisions = session.last_obs.decisions
+        shed = {d.frame_id for d in decisions.records("frame-shed")}
+        assert decisions.evicted == 0
+        assert stats.frames_shed > 0 and len(shed) == stats.frames_shed
+        rendered = [frame_id for _, frame_id in renders]
+        assert len(rendered) == len(set(rendered))
+        assert not shed & set(rendered)
+        assert len(rendered) < stats.frames_processed
 
 
 class TestWatchdog:

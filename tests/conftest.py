@@ -1,4 +1,4 @@
-"""Shared fixtures: small synthetic videos, a model zoo, planner configs."""
+"""Shared fixtures: small synthetic videos, a model zoo, planner configs, a render spy."""
 
 from __future__ import annotations
 
@@ -16,6 +16,20 @@ from repro.videosim.video import SyntheticVideo
 @pytest.fixture(scope="session")
 def zoo():
     return default_zoo(seed=0)
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """``(video, frame id)`` of every ground-truth render, in order."""
+    calls = []
+    real = SyntheticVideo._render
+
+    def spy(self, frame_id):
+        calls.append((self, frame_id))
+        return real(self, frame_id)
+
+    monkeypatch.setattr(SyntheticVideo, "_render", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

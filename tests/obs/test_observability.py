@@ -382,6 +382,7 @@ class TestDecisionsMatchCounters:
             assert decisions.count("frame-gated") == stats.leaf_frames_gated
             assert decisions.count("index-hit") == counters["hits"]
             assert decisions.count("index-miss") == counters["misses"]
+            assert decisions.count("index-written") == counters["written"]
 
     def test_overloaded_live_run(self, clip, zoo):
         feed = LiveFeed(

@@ -1,10 +1,16 @@
-"""Tests for ground-truth entities, frame materialisation, and video reading."""
+"""Tests for ground-truth entities, lazy frame handles, and video reading."""
+
+import copy
+import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.geometry import BBox
-from repro.common.config import VideoSpec
+from repro.common.config import FaultConfig, VideoSpec
+from repro.faults.injection import FaultInjector
 from repro.videosim.entities import GTInstance, InteractionEvent, ObjectSpec
 from repro.videosim.trajectory import LinearTrajectory, StationaryTrajectory
 from repro.videosim.video import Frame, SyntheticVideo, VideoReader
@@ -103,6 +109,75 @@ class TestSyntheticVideo:
     def test_ground_truth_tracks_filter(self, tiny_video):
         assert len(tiny_video.ground_truth_tracks("car")) == 1
         assert len(tiny_video.ground_truth_tracks()) == 2
+
+
+class TestLazyFrame:
+    def test_handle_renders_once_on_first_read(self, tiny_video, renders):
+        frame = tiny_video.frame(3)
+        assert renders == []
+        assert frame.num_objects == 2
+        assert frame.instance_by_id(1) is frame.instances_of("car")[0]
+        assert renders == [(tiny_video, 3)]
+
+    def test_rendered_frame_equals_a_fresh_handle(self, tiny_video):
+        rendered = tiny_video.frame(3)
+        rendered.instances
+        fresh = tiny_video.frame(3)
+        assert repr(fresh) == repr(rendered)  # fresh is not rendered yet
+        assert fresh == rendered and hash(fresh) == hash(rendered)
+        assert fresh.num_objects == rendered.num_objects
+        assert fresh.instances == rendered.instances
+        assert repr(fresh) == repr(rendered)  # now both are
+
+    def test_equality_compares_ground_truth_across_videos(self, tiny_video):
+        assert tiny_video.canary(10).frame(3) == tiny_video.frame(3)
+        empty = SyntheticVideo(tiny_video.spec, [], scene_attributes=tiny_video.scene_attributes)
+        assert empty.frame(3) != tiny_video.frame(3)
+        assert tiny_video.frame(3) != tiny_video.frame(4)
+
+    def test_deepcopy_returns_the_frame_itself(self, tiny_video):
+        frame = tiny_video.frame(3)
+        assert copy.deepcopy(frame) is frame
+        frame.instances
+        assert copy.deepcopy(frame) is frame
+
+    def test_reader_hook_tags_without_rendering(self, tiny_video, renders):
+        injector = FaultInjector(FaultConfig(seed=1, corrupt_frame_rate=1.0))
+        tagged = injector.reader_hook(tiny_video.frame(3))
+        assert tagged.scene_attributes["fault"] == "corrupted"
+        assert renders == []
+        assert tagged.instances == tiny_video.frame(3).instances
+
+    def test_concurrent_first_reads_agree(self, tiny_video):
+        """Threads racing to fill one memo each see the frame's ground truth."""
+        expected = [tiny_video._render(i) for i in range(tiny_video.num_frames)]
+        frames = [tiny_video.frame(i) for i in range(tiny_video.num_frames)]
+        seen = [[] for _ in range(4)]
+
+        def read(out):
+            out.extend(frame.instances for frame in frames)
+
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == expected for out in seen)
+        assert [frame.instances for frame in frames] == expected
+
+    def test_pickle_round_trip_keeps_ground_truth(self, tiny_video):
+        rendered = tiny_video.frame(3)
+        rendered.instances
+        for frame in (rendered, tiny_video.frame(4)):
+            copied = pickle.loads(pickle.dumps(frame))
+            assert copied.instances == frame.instances
+            assert copied == frame
 
 
 class TestGTInstance:
