@@ -7,8 +7,9 @@ Two measurements, both CI gates:
    semantically identical results (matched frames, events, aggregates);
    with stride sampling off it must also make 0 tracker invocations (the
    tracker output is replayed from the index) and return the cold scan's
-   track ids, and it must render the ground truth of no more frames than
-   it makes live model calls (frames the index answers are never decoded);
+   track ids, make 0 live model calls at all (property model outputs are
+   served from the index too) and render the ground truth of no frame
+   (frames the index answers are never decoded);
 2. disabled identity — with ``enable_video_index=False`` (the default)
    results must be byte-identical to an engine without the index, down
    to the virtual-clock cost breakdown.
@@ -88,6 +89,15 @@ def _tracker_calls(session):
     return session.last_context.clock.calls.get("kalman_tracker", 0)
 
 
+def _property_calls(session):
+    zoo = session.zoo
+    return sum(
+        calls
+        for account, calls in session.last_context.clock.calls.items()
+        if account in zoo and zoo.metadata(account).get("kind") == "property"
+    )
+
+
 def _spy(monkeypatch, cls, name, log):
     """Append each call's arguments to ``log``, then make the call."""
     real = getattr(cls, name)
@@ -142,6 +152,8 @@ def test_warm_requery_skips_detectors(benchmark, monkeypatch):
         "reduction_x": round(cold_calls / max(warm_calls, 1), 2),
         "tracker_invocations_cold": _tracker_calls(cold),
         "tracker_invocations_warm": warm_tracker_calls,
+        "property_invocations_cold": _property_calls(cold),
+        "property_invocations_warm": _property_calls(warm),
         "index_hits_warm": counters["hits"],
         "index_misses_warm": counters["misses"],
         "frames_materialized_cold": materialized_cold,
@@ -158,12 +170,14 @@ def test_warm_requery_skips_detectors(benchmark, monkeypatch):
     _emit_json("warm_requery", payload)
 
     # CI gates: ≤5% of the cold detector invocations, no tracker run (the
-    # config is stride-off), no more frames rendered than live model calls
-    # made, identical answers and identical track ids.
+    # config is stride-off), no live model call and no frame rendered,
+    # identical answers and identical track ids.
     assert not INDEXED.enable_stride_sampling
+    assert _property_calls(cold) > 0
     assert warm_calls <= 0.05 * cold_calls
     assert warm_tracker_calls == 0
-    assert materialized_warm <= len(model_calls)
+    assert len(model_calls) == 0
+    assert materialized_warm == 0
     for got, want in zip(warm_results, cold_results):
         assert _signature(got) == _signature(want)
         assert got.distinct_tracks() == want.distinct_tracks()

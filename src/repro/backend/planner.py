@@ -140,8 +140,9 @@ class PlannerConfig:
     #: window, watchdog/reconnect); read only by a live session.
     live_config: LiveConfig = LiveConfig()
     #: Persistent video index (:mod:`repro.index`): cache detector outputs,
-    #: frame-filter verdicts, and re-id embeddings per (video, model, model
-    #: version) across sessions, so a re-query over an already-indexed video
+    #: frame-filter verdicts, tracker ids, re-id embeddings and property and
+    #: interaction model outputs per (video, model, model version) across
+    #: sessions, so a re-query over an already-indexed video
     #: never re-invokes a model on an indexed frame.  Off = every execution
     #: shares the inert index view, whose lookups miss, and execution is
     #: byte-identical.

@@ -162,12 +162,7 @@ class VObjState:
             return self.track_state.intrinsic_values[spec.name]
 
         if spec.is_model_backed:
-            model = self.context.property_model(spec.model)
-            value = self.context.faults.invoke(
-                spec.model,
-                self.frame.frame_id,
-                lambda: model.predict(self.detection, self.frame, self.context.clock),
-            )
+            value = self._invoke_property_model(spec.model)
         else:
             inputs = [self.get(dep) for dep in spec.inputs]
             self.context.charge_python(spec.name)
@@ -176,6 +171,32 @@ class VObjState:
         if reusable:
             self.track_state.intrinsic_values[spec.name] = value
             self.track_state.intrinsic_frames[spec.name] = self.frame.frame_id
+        return value
+
+    def _invoke_property_model(self, model_name: str) -> Any:
+        """The model's output on this detection: indexed, else computed live.
+
+        A live value is written through to the index after the invocation
+        succeeded.  A seeded frame's detection was synthesized by the stride
+        sampler, so its values are neither read from nor written to the
+        index.
+        """
+        context = self.context
+        frame = self.frame
+        detection = self.detection
+        indexed = frame.frame_id not in context.seeded_frames
+        if indexed:
+            hit, value = context.index.lookup_property(model_name, detection)
+            if hit:
+                return value
+        model = context.property_model(model_name)
+        value = context.faults.invoke(
+            model_name,
+            frame.frame_id,
+            lambda: model.predict(detection, frame, context.clock),
+        )
+        if indexed:
+            context.index.record_property(model_name, detection, value)
         return value
 
     def _resolve_stateful(self, spec: PropertySpec) -> Any:
@@ -640,13 +661,21 @@ class ExecutionContext:
         per_frame = self._interactions.setdefault(frame.frame_id, {})
         key = (model_name, subject, object_)
         if key not in per_frame:
-            model = self.model(model_name)
-            preds = self.faults.invoke(
-                model_name,
-                frame.frame_id,
-                lambda: model.predict([subject], [object_], frame, self.clock),
-            )
-            per_frame[key] = tuple(p.kind for p in preds)
+            # Like a property model's output: indexed by the pair's content,
+            # never read or written on a seeded frame.
+            indexed = frame.frame_id not in self.seeded_frames
+            kinds = self.index.lookup_interaction(model_name, subject, object_) if indexed else None
+            if kinds is None:
+                model = self.model(model_name)
+                preds = self.faults.invoke(
+                    model_name,
+                    frame.frame_id,
+                    lambda: model.predict([subject], [object_], frame, self.clock),
+                )
+                kinds = tuple(p.kind for p in preds)
+                if indexed:
+                    self.index.record_interaction(model_name, subject, object_, kinds)
+            per_frame[key] = kinds
         return per_frame[key]
 
     # -- cross-camera re-identification support ------------------------------------

@@ -309,10 +309,11 @@ class IndexConfig:
     With ``PlannerConfig(enable_video_index=True)``, every execution
     consults a :class:`~repro.index.store.VideoIndexStore` before invoking
     a model on a frame and writes fresh results through as a side effect of
-    scanning: detector outputs, frame-filter verdicts, and re-id embeddings
-    are keyed by ``(video, model, model version)``, so a later session over
-    the same video serves them from the index instead of re-running the
-    model.  The index also records each video's observed tracker-stable
+    scanning: detector outputs, frame-filter verdicts, tracker ids, re-id
+    embeddings and the outputs of stateless property and interaction
+    models are keyed by ``(video, model, model version)``, so a later
+    session over the same video serves them from the index instead of
+    re-running the model.  The index also records each video's observed tracker-stable
     fraction, which the planner's cost model uses in place of its
     ``stride_stable_fraction`` prior.  Off by default: every execution
     shares the inert :data:`~repro.index.store.NO_INDEX` view, whose

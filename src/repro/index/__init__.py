@@ -4,7 +4,8 @@ Scanning a video is expensive because of the models, not the queries: two
 different queries over the same clip re-run the same detector on the same
 frames and re-embed the same tracks.  The index persists those per-frame
 model results — detector outputs, frame-filter verdicts, re-id embeddings,
-tracker ids, plus per-video scan statistics — keyed by
+tracker ids, property and interaction model outputs, plus per-video scan
+statistics — keyed by
 ``(video, model, model version)``, so any later session over the same video
 serves them from the index instead of re-invoking the model.
 

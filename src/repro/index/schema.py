@@ -4,11 +4,14 @@ Everything the index persists must survive a JSON round trip *exactly*:
 a warm run that reads a detection back must behave byte-identically to the
 cold run that produced it.  Python's ``json`` round-trips floats via
 ``repr``, so bbox coordinates and scores come back bit-equal; embeddings
-are stored as plain float lists and rebuilt as float64 arrays.
+are stored as plain float lists and rebuilt as float64 arrays.  Property
+and interaction model outputs are stored only when they are JSON-exact
+scalars (:func:`json_exact`); anything else is never persisted.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,6 +33,12 @@ KIND_EMBEDDING = "embedding"
 #: Distinct from the legacy per-video ``tracks`` table, which old files may
 #: still carry and nothing reads.
 KIND_TRACK_IDS = "track_ids"
+#: A stateless property model's output on one detection, keyed by
+#: :func:`detection_key`.
+KIND_PROPERTY = "property"
+#: An interaction model's predicted kinds for one (subject, object) pair,
+#: keyed by :func:`interaction_key` and stored as a list.
+KIND_INTERACTION = "interaction"
 
 
 def video_key(video: Any) -> str:
@@ -72,13 +81,37 @@ def detection_key(detection: Detection) -> str:
     same physical track can carry different ids in different sessions,
     while its source detection (frame, class, box) is reproducible.
     ``repr`` keeps full float precision, so equal detections — and only
-    equal detections — share a key.
+    equal detections — share a key.  Each coordinate is keyed as a plain
+    ``float``: a live box may carry ``np.float64`` coordinates, whose
+    ``repr`` is ``np.float64(...)`` under numpy 2, while the same box read
+    back from JSON carries ``float`` ones.
     """
     b = detection.bbox
     return (
         f"{detection.frame_id}|{detection.class_name}|"
-        f"{b.x1!r}|{b.y1!r}|{b.x2!r}|{b.y2!r}"
+        f"{float(b.x1)!r}|{float(b.y1)!r}|{float(b.x2)!r}|{float(b.y2)!r}"
     )
+
+
+def interaction_key(subject: Detection, object_: Detection) -> str:
+    """Content key of one ordered (subject, object) detection pair."""
+    return f"{detection_key(subject)}>{detection_key(object_)}"
+
+
+#: Scalar types whose JSON round trip returns an equal value of the same type.
+_JSON_EXACT_TYPES = (type(None), bool, int, float, str)
+
+
+def json_exact(value: Any) -> bool:
+    """True when ``json`` returns ``value`` unchanged: same type, equal value.
+
+    Only such values may be stored as model outputs, so a warm run reads
+    back exactly what the model returned.  Subclasses (``np.float64``,
+    ``np.str_``) and non-finite floats (``nan != nan``) do not qualify.
+    """
+    if type(value) not in _JSON_EXACT_TYPES:
+        return False
+    return type(value) is not float or math.isfinite(value)
 
 
 def detection_to_record(detection: Detection) -> Dict[str, Any]:

@@ -13,8 +13,10 @@ JSON serialization is deterministic regardless of write order
 Sessions never touch the store directly during a scan; they go through an
 :class:`IndexView` bound to one ``(video, zoo, obs)`` triple, which owns
 the model-version resolution, the hit/miss/stale/written counters that
-``explain()`` reports, and the observability hooks.  A scan without the
-index goes through :data:`NO_INDEX`, whose lookups always miss.
+``explain()`` reports, and the observability hooks.  Each value kind
+(:mod:`repro.index.schema`) has one ``lookup_*``/``record_*`` pair on the
+view.  A scan without the index goes through :data:`NO_INDEX`, whose
+lookups always miss.
 """
 
 from __future__ import annotations
@@ -365,6 +367,53 @@ class IndexView:
             detection.frame_id,
         )
 
+    # ------------------------------------------------- property model outputs --
+    def lookup_property(self, model_name: str, detection: Detection) -> Tuple[bool, Any]:
+        """``(hit, value)``: a stored value may itself be None."""
+        status, value = self._lookup(
+            schema.KIND_PROPERTY, model_name, schema.detection_key(detection), detection.frame_id
+        )
+        return status == _HIT, value
+
+    def record_property(self, model_name: str, detection: Detection, value: Any) -> None:
+        """Store the value if it is JSON-exact (:func:`schema.json_exact`).
+
+        Any other value is not persisted, so every run computes it live.
+        """
+        if schema.json_exact(value):
+            self._record(
+                schema.KIND_PROPERTY,
+                model_name,
+                schema.detection_key(detection),
+                value,
+                detection.frame_id,
+            )
+
+    # ---------------------------------------------- interaction model outputs --
+    def lookup_interaction(
+        self, model_name: str, subject: Detection, object_: Detection
+    ) -> Optional[Tuple[Any, ...]]:
+        status, value = self._lookup(
+            schema.KIND_INTERACTION,
+            model_name,
+            schema.interaction_key(subject, object_),
+            subject.frame_id,
+        )
+        return tuple(value) if status == _HIT else None
+
+    def record_interaction(
+        self, model_name: str, subject: Detection, object_: Detection, kinds: Tuple[Any, ...]
+    ) -> None:
+        """Store the pair's predicted kinds as a list if each is JSON-exact."""
+        if all(schema.json_exact(kind) for kind in kinds):
+            self._record(
+                schema.KIND_INTERACTION,
+                model_name,
+                schema.interaction_key(subject, object_),
+                list(kinds),
+                subject.frame_id,
+            )
+
     # ------------------------------------------------------------ finalization --
     def finalize(self, ctx: Any, observe_stability: bool = False) -> None:
         """Record the finished scan's per-video statistics.
@@ -429,6 +478,20 @@ class InertIndexView:
         return None
 
     def record_embedding(self, model_name: str, detection: Detection, embedding: Any) -> None:
+        pass
+
+    def lookup_property(self, model_name: str, detection: Detection) -> Tuple[bool, Any]:
+        return False, None
+
+    def record_property(self, model_name: str, detection: Detection, value: Any) -> None:
+        pass
+
+    def lookup_interaction(self, model_name: str, subject: Detection, object_: Detection) -> None:
+        return None
+
+    def record_interaction(
+        self, model_name: str, subject: Detection, object_: Detection, kinds: Tuple[Any, ...]
+    ) -> None:
         pass
 
     def finalize(self, ctx: Any, observe_stability: bool = False) -> None:

@@ -1,12 +1,14 @@
 """Tests for the persistent video index (:mod:`repro.index`).
 
 Covers the store primitives (versioned lookup/record, canonical
-serialization, corruption recovery), the session-level contract (a re-query
-over an indexed video serves detector outputs / filter verdicts / re-id
-embeddings from the index with identical results, a stale model version
-falls back to live invocation, seeded frames are never persisted, the
-disabled path is byte-identical), decode on demand (a warm scan renders
-only the frames a live model reads), tracker replay from the ``track_ids``
+serialization, corruption recovery, keys and values that survive the
+file), the session-level contract (a re-query over an indexed video serves
+detector outputs / filter verdicts / re-id embeddings / property and
+interaction model outputs from the index with identical results, a stale
+model version falls back to live invocation, seeded frames and failed calls
+are never persisted, the disabled path is byte-identical), decode on demand
+(a warm scan renders only the frames a live model reads, and a fully
+indexed one renders none), tracker replay from the ``track_ids``
 table (a warm scan serves tracker output and rebuilds the live tracker at
 the first divergence), the planner's consumption of observed
 per-video statistics (``enable_video_index`` replacing the
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,15 +30,25 @@ from repro.backend.session import MultiCameraSession, QuerySession
 from repro.common.config import FaultConfig, IndexConfig, VideoSpec
 from repro.common.geometry import BBox
 from repro.faults.resilience import InertFaults
-from repro.frontend.builtin import Car, Person, RedCar
+from repro.frontend.builtin import Car, GetsInto, Person, RedCar
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.properties import vobj_filter
 from repro.frontend.query import Query
-from repro.index.schema import KIND_TRACK_IDS, detection_key, model_version, video_key
+from repro.index.schema import (
+    KIND_PROPERTY,
+    KIND_TRACK_IDS,
+    detection_from_record,
+    detection_key,
+    detection_to_record,
+    interaction_key,
+    model_version,
+    video_key,
+)
 from repro.index.store import NO_INDEX, VideoIndexStore
 from repro.models.base import Detection
+from repro.models.properties import ColorModel
 from repro.models.zoo import default_zoo
-from repro.videosim.datasets import camera_clip
+from repro.videosim.datasets import camera_clip, hit_and_run_clip
 from repro.videosim.entities import ObjectSpec
 from repro.videosim.multicam import CameraPlacement, handoff_scenario
 from repro.videosim.trajectory import LinearTrajectory
@@ -191,6 +204,48 @@ class TestVideoIndexStore:
         assert detection_key(det) == detection_key(relabeled)
         moved = Detection("car", BBox(1.0, 2.0, 3.0, 4.5), 0.9, frame_id=7)
         assert detection_key(det) != detection_key(moved)
+
+    def test_detection_key_survives_a_json_round_trip(self):
+        # Live boxes carry numpy coordinates; boxes read back from an index
+        # file carry plain floats.  Both must key the same detection.
+        coords = np.array([618.2134567891234, 2.5, 700.1, 90.0]) / 1.0
+        det = Detection("car", BBox(*coords), 0.9, frame_id=7, gt_object_id=4)
+        assert type(det.bbox.x1) is np.float64
+        loaded = detection_from_record(json.loads(json.dumps(detection_to_record(det))))
+        assert type(loaded.bbox.x1) is float
+        assert detection_key(loaded) == detection_key(det)
+        assert interaction_key(loaded, det) == interaction_key(det, loaded)
+
+    def test_only_json_exact_property_values_are_recorded(self, video):
+        view = VideoIndexStore().view(video, default_zoo())
+        exact = [None, True, 3, 1.5, "red"]
+        inexact = [np.float64(1.5), np.str_("red"), float("nan"), [1], (1,), np.zeros(2)]
+        dets = [
+            Detection("car", BBox(1.0, 2.0, 3.0, 4.0), 0.9, frame_id=i)
+            for i in range(len(exact + inexact))
+        ]
+        for det, value in zip(dets, exact + inexact):
+            view.record_property("color_detect", det, value)
+        assert view.counters["written"] == len(exact)
+        for det, value in zip(dets, exact):
+            hit, got = view.lookup_property("color_detect", det)
+            assert hit and got == value and type(got) is type(value)
+        for det in dets[len(exact):]:
+            assert view.lookup_property("color_detect", det) == (False, None)
+
+    def test_interaction_kinds_round_trip_as_a_tuple(self, video, tmp_path):
+        path = str(tmp_path / "index.json")
+        store = VideoIndexStore(path)
+        subject = Detection("person", BBox(1.0, 2.0, 3.0, 4.0), 0.9, frame_id=7)
+        object_ = Detection("car", BBox(5.0, 6.0, 7.0, 8.0), 0.8, frame_id=7)
+        view = store.view(video, default_zoo())
+        assert view.lookup_interaction("upt", subject, object_) is None
+        view.record_interaction("upt", subject, object_, ("get_into",))
+        view.record_interaction("upt", object_, subject, ())
+        store.save()
+        reloaded = VideoIndexStore(path).view(video, default_zoo())
+        assert reloaded.lookup_interaction("upt", subject, object_) == ("get_into",)
+        assert reloaded.lookup_interaction("upt", object_, subject) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +431,212 @@ class TestEmbeddings:
         assert session.link_clock.calls.get("reid_feature", 0) == 0
         assert second.global_tracks() == first.global_tracks()
 
+    def test_reid_embeddings_reused_from_an_index_file(self, scenario, tmp_path):
+        # Embeddings are keyed by their source detection; a detection read
+        # back from the file must key like the live one the cold run saw.
+        config = PlannerConfig(
+            profile_plans=False,
+            enable_cross_camera_reid=True,
+            enable_video_index=True,
+            index_config=IndexConfig(path=str(tmp_path / "index.json")),
+        )
+        cold = MultiCameraSession(
+            scenario.videos, config=config, start_offsets=scenario.start_offsets
+        )
+        first = cold.execute(CarQuery())
+        assert cold.link_clock.calls.get("reid_feature", 0) > 0
+        # A new session loads the file the first one saved.
+        warm = MultiCameraSession(
+            scenario.videos, config=config, start_offsets=scenario.start_offsets
+        )
+        second = warm.execute(CarQuery())
+        assert sum(detector_calls(feed) for feed in warm.sessions.values()) == 0
+        assert warm.link_clock.calls.get("reid_feature", 0) == 0
+        assert second.global_tracks() == first.global_tracks()
+
+
+# ---------------------------------------------------------------------------
+# Property and interaction model outputs
+# ---------------------------------------------------------------------------
+
+
+class TextureCar(Car):
+    """A car behind the ``texture_car_filter`` gate (3% false negatives)."""
+
+    @vobj_filter(model="texture_car_filter")
+    def has_car(self, frame):
+        ...
+
+
+class ColorCarQuery(Query):
+    def __init__(self, color, vobj_type=Car):
+        self.car = vobj_type("car")
+        self.color = color
+
+    def frame_constraint(self):
+        return (self.car.score > 0.6) & (self.car.color == self.color)
+
+    def frame_output(self):
+        return (self.car.track_id, self.car.bbox)
+
+
+class GetsIntoQuery(Query):
+    """A relation query over the ``upt`` interaction model."""
+
+    def __init__(self):
+        self.person = Person("person")
+        self.car = Car("car")
+        self.gets_into = GetsInto(self.person, self.car, "gets_into")
+
+    def frame_constraint(self):
+        return (self.person.score > 0.5) & (self.gets_into.interaction == "get_into")
+
+    def frame_output(self):
+        return (self.person.track_id, self.car.track_id)
+
+
+@pytest.fixture(scope="module")
+def color_clip():
+    """Black cars from frame 25, silver ones from frame 178: a batch of
+    ``color_batch`` retires one leaf early and stops the scan at 180."""
+    return camera_clip("jackson", duration_s=20, seed=1)
+
+
+def color_batch():
+    return [
+        ColorCarQuery("black").bounded(3),
+        ColorCarQuery("silver", TextureCar).bounded(3),
+    ]
+
+
+def property_calls(session, model="color_detect"):
+    return session.last_context.clock.calls.get(model, 0)
+
+
+def property_frames(store, video, model="color_detect"):
+    """Frame ids of every stored ``property`` entry of ``model``."""
+    kinds = json.loads(store.to_json())["videos"][video_key(video)]["kinds"]
+    entries = kinds.get(KIND_PROPERTY, {}).get(model, {}).get("entries", {})
+    return {int(key.split("|", 1)[0]) for key in entries}
+
+
+def retrained_color_zoo():
+    """The default zoo with ``color_detect`` retrained (another seed)."""
+    zoo = default_zoo()
+    zoo.register("color_detect", partial(ColorModel, seed=7), **zoo.metadata("color_detect"))
+    return zoo
+
+
+FAULTS = {
+    "none": {},
+    "transient": dict(
+        enable_fault_tolerance=True,
+        fault_config=FaultConfig(transient_rate=0.1),
+    ),
+    "dead": dict(
+        enable_fault_tolerance=True,
+        fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
+    ),
+}
+
+
+class TestPropertyIndex:
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["no-exit", "exit"])
+    @pytest.mark.parametrize("gating", [False, True], ids=["ungated", "gated"])
+    @pytest.mark.parametrize("stride", [False, True], ids=["stride-1", "stride"])
+    def test_warm_equals_cold_without_property_calls(
+        self, color_clip, stride, gating, early_exit, faults
+    ):
+        config = indexed_config(
+            enable_stride_sampling=stride,
+            enable_scan_gating=gating,
+            enable_early_exit=early_exit,
+            **FAULTS[faults],
+        )
+        store = VideoIndexStore()
+        cold, want = run_batch(color_clip, config, store, color_batch())
+        assert property_calls(cold) > 0
+        warm, got = run_batch(color_clip, config, store, color_batch())
+        assert got == want
+        assert property_calls(warm) == 0
+        # A served value lands on the track state like a live one.
+        assert warm.last_context.reuse_stats == cold.last_context.reuse_stats
+        cold_stats = cold.last_context.scan_stats
+        assert warm.last_context.scan_stats.frames_degraded == cold_stats.frames_degraded
+
+    def test_seeded_frame_values_are_not_recorded(self, video, model_frames):
+        # Without reuse the colour model also runs on interpolation-seeded
+        # detections; those values must stay out of the index.
+        config = indexed_config(enable_stride_sampling=True, enable_reuse=False)
+        store = VideoIndexStore()
+        cold, want = run_batch(video, config, store, [RedCarQuery()])
+        seeded = cold.last_context.seeded_frames
+        assert set(model_frames) & seeded, "a property model must run on a seeded frame"
+        recorded = property_frames(store, video)
+        assert recorded and not (recorded & seeded)
+        del model_frames[:]
+
+        warm, got = run_batch(video, config, store, [RedCarQuery()])
+        assert got == want
+        # Only the seeded frames' values are computed again.
+        assert model_frames and set(model_frames) <= warm.last_context.seeded_frames
+
+    def test_failed_call_records_nothing_and_warm_retries_live(self, color_clip):
+        dead = indexed_config(
+            enable_fault_tolerance=True,
+            fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
+        )
+        store = VideoIndexStore()
+        cold, want = run_batch(color_clip, dead, store, color_batch())
+        failures = cold.last_context.scan_stats.model_failures
+        assert failures > 0
+        assert property_frames(store, color_clip) and max(property_frames(store, color_clip)) < 60
+
+        warm, got = run_batch(color_clip, dead, store, color_batch())
+        assert got == want
+        assert warm.last_context.scan_stats.model_failures == failures
+        # A healthy model answers what failed, live; the rest is served.
+        healthy, got = run_batch(color_clip, indexed_config(), store, color_batch())
+        fresh, want = run_batch(color_clip, indexed_config(), VideoIndexStore(), color_batch())
+        assert got == want
+        assert 0 < property_calls(healthy) < property_calls(fresh)
+
+    def test_retrained_color_model_is_stale_and_runs_live(self, color_clip):
+        store = VideoIndexStore()
+        run_batch(color_clip, indexed_config(), store, color_batch())
+        config = indexed_config(enable_tracing=True)
+        stale = QuerySession(
+            color_clip, zoo=retrained_color_zoo(), config=config, index_store=store
+        )
+        got = batch_signature(stale.execute_many(color_batch()))
+        reference = QuerySession(
+            color_clip, zoo=retrained_color_zoo(), config=PlannerConfig(profile_plans=False)
+        )
+        assert got == batch_signature(reference.execute_many(color_batch()))
+        assert detector_calls(stale) == 0
+        # Car and TextureCar track states each ask for a detection's colour;
+        # without the index both run the model, with it the second is a hit.
+        assert 0 < property_calls(stale) <= property_calls(reference)
+        # The first live value supersedes the stale bucket; later lookups
+        # of the new version miss.  Each of those ran the model.
+        counters = stale.last_context.index.counters
+        assert counters["stale"] == 1
+        assert counters["stale"] + counters["misses"] == property_calls(stale)
+        (record,) = stale.last_obs.decisions.records(action="index-stale")
+        assert record.reason == "model-version-mismatch"
+        assert dict(record.attrs)["model"] == "color_detect"
+
+    def test_relation_warm_rerun_makes_no_interaction_calls(self):
+        clip = hit_and_run_clip(duration_s=10)
+        store = VideoIndexStore()
+        cold, want = run_batch(clip, indexed_config(), store, [GetsIntoQuery()])
+        assert property_calls(cold, "upt") > 0
+        warm, got = run_batch(clip, indexed_config(), store, [GetsIntoQuery()])
+        assert got == want
+        assert property_calls(warm, "upt") == 0
+        assert warm.last_context.index.counters["misses"] == 0
+
 
 # ---------------------------------------------------------------------------
 # Planner consumption of observed statistics
@@ -473,14 +734,6 @@ class TestObservability:
 # ---------------------------------------------------------------------------
 # Tracker replay
 # ---------------------------------------------------------------------------
-
-
-class TextureCar(Car):
-    """A car behind the ``texture_car_filter`` gate (3% false negatives)."""
-
-    @vobj_filter(model="texture_car_filter")
-    def has_car(self, frame):
-        ...
 
 
 class TextureCarQuery(CarQuery):
@@ -623,7 +876,14 @@ class TestTrackerReplay:
             enable_fault_tolerance=True,
             fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
         )
-        warm, _ = run_batch(video, config, warm_store(full_index))
+        # The index answers every colour of the full scan; a retrained colour
+        # model makes that bucket stale, so colour runs live, fails from
+        # frame 60 and degrades the frame.
+        warm = QuerySession(
+            video, zoo=retrained_color_zoo(), config=config, index_store=warm_store(full_index)
+        )
+        warm.execute_many(batch())
+        assert warm.last_context.scan_stats.frames_degraded > 0
         (rebuild,) = rebuilds(warm)
         assert rebuild.reason == "tracker-state-read"
         assert dict(rebuild.attrs)["replayed"] >= 60
@@ -755,9 +1015,19 @@ class TestDecodeOnDemand:
 
         warm, signature = run_batch(clip, indexed_config(), store, queries())
         assert signature == cold
+        # The index answers every model call, so no frame is decoded.
         assert detector_calls(warm) == 0
+        assert model_frames == [] and rendered_frames(renders, clip) == []
+
+        # A retrained colour model makes the colour bucket stale: colour
+        # runs live, and only the frames it reads are decoded.
+        stale = QuerySession(
+            clip, zoo=retrained_color_zoo(), config=indexed_config(), index_store=store
+        )
+        stale.execute_many(queries())
+        assert detector_calls(stale) == 0
         rendered = rendered_frames(renders, clip)
-        assert model_frames, "the warm scan still evaluates uncached properties"
+        assert model_frames, "the stale colour bucket is evaluated live"
         assert len(rendered) == len(set(rendered))
         assert set(rendered) <= set(model_frames)
         assert len(rendered) < clip.num_frames // 4
