@@ -185,9 +185,8 @@ class Executor:
         scheduler whose ``ScanStats`` the context and fault layer count into.
 
         The fault manager is built per scan so breaker/injector state never
-        leaks across videos or interleaves across the concurrent feeds of a
-        multi-camera session (each feed's scan owns its own, keyed by the
-        feed name).  Batch execution and live sessions both build here.
+        leaks across videos or from one feed of a multi-camera session to
+        the next (each feed's scan owns its own, keyed by the feed name).  Batch execution and live sessions both build here.
         """
         ctx.obs = obs
         if self.config.enable_fault_tolerance:

@@ -24,8 +24,7 @@ the per-feed results deterministically.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from contextlib import ExitStack
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
@@ -133,9 +132,10 @@ class QuerySession:
         computed exactly once per (model, frame) across the whole batch.
         With ``ensure_events`` even bare basic queries group their matches
         into events during the scan (cross-camera linking needs them).
-        ``obs`` lets a multi-camera session share one observability bundle
-        across its feeds; standalone runs build their own when
-        ``enable_tracing`` is on.
+        ``obs`` makes the call one feed of a multi-camera batch: the feeds
+        share that observability bundle, and the batch owns both the root
+        span and the index save.  Standalone runs build their own bundle
+        when ``enable_tracing`` is on and save the index themselves.
         """
         own_obs = obs is None
         if own_obs:
@@ -156,7 +156,7 @@ class QuerySession:
             results = self.executor.execute_queries(
                 queries, self.video, ctx, self.planner, ensure_events=ensure_events, obs=obs
             )
-        if self.index_store is not None:
+        if own_obs and self.index_store is not None:
             # Everything the scan learned is already in the store (writes
             # are a scan side effect); persist it for the next session.
             self.index_store.save()
@@ -176,21 +176,20 @@ class QuerySession:
         are then named by their spec).  With ``include_self`` (the default)
         the session's own video comes first, ahead of the extra feeds.  Each
         feed gets its own execution context but performs the same
-        single-pass batched execution as :meth:`execute_many`; feeds run
-        concurrently (``max_workers=1`` forces serial execution).
-        ``start_offsets`` (camera name -> seconds) places each feed on the
-        shared wall clock for cross-camera linking.
+        single-pass batched execution as :meth:`execute_many`; the feeds
+        run one after another, in order, on the calling thread.
+        ``max_workers`` is deprecated and ignored.  ``start_offsets``
+        (camera name -> seconds) places each feed on the shared wall clock
+        for cross-camera linking.
         """
+        if max_workers is not None:
+            _warn_max_workers_ignored()
         feeds = _named_feeds(videos)
         if include_self:
             own = _unique_name(self.video.spec.name, feeds)
             feeds = {own: self.video, **feeds}
         multi = MultiCameraSession(
-            feeds,
-            zoo=self.zoo,
-            config=self.config,
-            max_workers=max_workers,
-            start_offsets=start_offsets,
+            feeds, zoo=self.zoo, config=self.config, start_offsets=start_offsets
         )
         results = multi.execute_many(queries)
         # Reporting follows the most recent execution: keep the multi session
@@ -219,7 +218,7 @@ class QuerySession:
         """The span tracer of the most recent traced execution (else None).
 
         After :meth:`execute_over` this is the multi-camera session's shared
-        tracer, so per-feed scans show up as parallel lanes under one
+        tracer, so per-feed scans show up as one lane per feed under one
         ``execute-batch`` root.
         """
         if self.last_obs is None:
@@ -248,11 +247,13 @@ class MultiCameraSession:
 
     One :class:`QuerySession` is kept per feed, all sharing the same model
     zoo and planner configuration; each feed's batch still executes as one
-    streaming pass.  Feeds execute **concurrently** on a thread pool — every
-    feed has its own execution context, simulated clock, and (fresh) model
-    instances, so per-feed results are bit-identical to a serial run — and
-    results are merged in feed insertion order, so the merge stays
-    deterministic regardless of completion order.
+    streaming pass.  The feeds run one after another, in insertion order,
+    on the calling thread.  Every feed has its own execution context,
+    simulated clock, and (fresh) model instances, so a feed's results do
+    not depend on the feeds before it, and results are merged in feed
+    insertion order.  Under the interpreter lock a thread per feed would
+    only add switching: the scans are Python computation, not I/O.
+    ``max_workers`` is deprecated and ignored.
 
     With ``enable_cross_camera_reid`` on (:class:`PlannerConfig`), every
     execution additionally links the feeds' tracks into global identities
@@ -260,8 +261,8 @@ class MultiCameraSession:
     built from each feed's frame rate and ``start_offsets`` — unlocking
     ``global_tracks()`` / ``global_events()`` on the merged results and the
     cross-camera temporal operator (:meth:`execute_sequence`).  Linking runs
-    after the per-feed scans join, in feed insertion order, so the identity
-    assignment is deterministic regardless of ``max_workers``.
+    after every feed's scan, in feed insertion order, so the identity
+    assignment is deterministic.
     """
 
     def __init__(
@@ -272,17 +273,16 @@ class MultiCameraSession:
         max_workers: Optional[int] = None,
         start_offsets: Optional[Mapping[str, float]] = None,
     ) -> None:
+        if max_workers is not None:
+            _warn_max_workers_ignored()
         feeds = _named_feeds(videos)
         if not feeds:
             raise ValueError("MultiCameraSession needs at least one video feed")
         self.zoo = zoo or get_library_zoo()
         self.config = config or PlannerConfig()
-        #: Thread-pool width for per-feed execution; None sizes to the feed
-        #: count (capped by the CPU count), 1 forces serial execution.
-        self.max_workers = max_workers
-        #: One persistent index shared by every feed (the store's write path
-        #: is locked, so concurrent per-feed scans interleave safely); None
-        #: when the video index is disabled.
+        #: One persistent index shared by every feed, saved once per
+        #: execution after the feeds have run; None when the video index is
+        #: disabled.
         self.index_store: Optional[VideoIndexStore] = (
             VideoIndexStore(self.config.index_config.path)
             if self.config.enable_video_index
@@ -319,11 +319,6 @@ class MultiCameraSession:
     def cameras(self) -> List[str]:
         return list(self.sessions)
 
-    def _worker_count(self) -> int:
-        if self.max_workers is not None:
-            return max(1, self.max_workers)
-        return max(1, min(len(self.sessions), os.cpu_count() or 1))
-
     def timeline(self) -> GlobalTimeline:
         """The shared wall-clock axis the feeds' events are aligned on."""
         return GlobalTimeline(
@@ -337,7 +332,7 @@ class MultiCameraSession:
         return self.execute_many([query])[0]
 
     def execute_many(self, queries: Sequence[Query]) -> List[MultiCameraResult]:
-        """Execute a query batch across every feed (one parallel pass per feed).
+        """Execute a query batch across every feed (one pass per feed, in order).
 
         When cross-camera re-id is enabled the feeds' tracks are linked
         after the scans complete, and every merged result carries the
@@ -350,38 +345,28 @@ class MultiCameraSession:
         self.last_obs = obs if obs.enabled else None
         # The batch root is wall-clock only: there is no single virtual
         # clock spanning the feeds (each feed owns its own SimClock).
-        with obs.tracer.span(
-            "execute-batch", feeds=len(self.sessions), queries=len(queries)
-        ) as root:
-            return self._execute_batch(queries, reid_enabled, obs, root)
+        with obs.tracer.span("execute-batch", feeds=len(self.sessions), queries=len(queries)):
+            return self._execute_batch(queries, reid_enabled, obs)
 
-    def _execute_batch(self, queries, reid_enabled, obs, root):
+    def _execute_batch(self, queries, reid_enabled, obs):
         merged = [MultiCameraResult(query_name=q.query_name) for q in queries]
         names = list(self.sessions)
-        workers = self._worker_count()
         # Settle *every* feed before deciding the batch's fate: a feed that
-        # fails must neither abandon its in-flight siblings nor discard the
-        # results the surviving feeds already produced.
+        # fails must neither stop the feeds after it nor discard the results
+        # the surviving feeds already produced.
         outcomes: Dict[str, List[QueryResult]] = {}
         failures: Dict[str, Exception] = {}
-        if workers <= 1 or len(names) <= 1:
+        try:
             for name in names:
                 try:
-                    outcomes[name] = self._run_feed(name, queries, reid_enabled, obs, root)
+                    outcomes[name] = self._run_feed(name, queries, reid_enabled, obs)
                 except Exception as exc:
                     failures[name] = exc
-        else:
-            with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="camera-feed") as pool:
-                futures = {
-                    name: pool.submit(self._run_feed, name, queries, reid_enabled, obs, root)
-                    for name in names
-                }
-                for name, future in futures.items():
-                    try:
-                        outcomes[name] = future.result()
-                    except Exception as exc:
-                        failures[name] = exc
-        self.last_feed_failures = self._settle_failures(names, failures, outcomes)
+            self.last_feed_failures = self._settle_failures(names, failures, outcomes)
+        finally:
+            # One save for every feed's writes, also when the batch fails.
+            if self.index_store is not None:
+                self.index_store.save()
         for name in names:
             if name not in outcomes:
                 continue
@@ -438,15 +423,10 @@ class MultiCameraSession:
             partial_results=outcomes,
         )
 
-    def _run_feed(self, name, queries, reid_enabled, obs, parent):
-        """One feed's batch execution, traced as its own parallel lane.
-
-        The explicit ``parent`` matters: on the thread pool the tracer's
-        thread-local span stack is empty, so without it the feed spans
-        would float unparented instead of nesting under ``execute-batch``.
-        """
+    def _run_feed(self, name, queries, reid_enabled, obs):
+        """One feed's batch execution, traced as its own lane."""
         session = self.sessions[name]
-        with obs.tracer.span("feed-scan", parent=parent, lane=name, feed=name):
+        with obs.tracer.span("feed-scan", lane=name, feed=name):
             return session.execute_many(queries, ensure_events=reid_enabled, obs=obs)
 
     # -- cross-camera re-identification -----------------------------------------
@@ -542,6 +522,15 @@ class MultiCameraSession:
         if self.link_clock.elapsed_ms > 0:
             out["<cross-camera>"] = self.link_clock.breakdown()
         return out
+
+
+def _warn_max_workers_ignored() -> None:
+    warnings.warn(
+        "max_workers is deprecated and ignored: the feeds of a multi-camera "
+        "batch run one after another on the calling thread",
+        DeprecationWarning,
+        stacklevel=3,
+    )
 
 
 def _named_feeds(

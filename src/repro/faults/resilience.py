@@ -3,8 +3,8 @@
 Every ``model.detect(...)`` / property-model / frame-filter invocation runs
 through the execution context's fault layer.  With fault tolerance enabled
 that is a :class:`FaultManager`, built per feed (each feed's scan builds its
-own), so breaker state and retry counters never interleave across worker
-threads — the chaos suite relies on that for ``max_workers`` determinism.
+own), so breaker state and retry counters never carry over from one feed
+to the next — the chaos suite relies on that for feed-order determinism.
 With it disabled it is :data:`NO_FAULTS`, which just calls.
 
 Failure semantics:

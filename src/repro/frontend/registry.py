@@ -18,8 +18,8 @@ from repro.models.base import SimulatedModel
 from repro.models.zoo import ModelZoo, default_zoo
 
 _library_zoo: Optional[ModelZoo] = None
-# Guards _library_zoo: multi-camera sessions scan cameras on a thread pool,
-# and any worker may trigger the lazy zoo construction concurrently.
+# Guards _library_zoo: user code may call the library from several threads,
+# and any of them may trigger the lazy zoo construction concurrently.
 _library_zoo_lock = threading.Lock()
 
 

@@ -3,12 +3,13 @@
 One :class:`VideoIndexStore` holds every indexed video, keyed by
 :func:`~repro.index.schema.video_key`; under each video, per-frame model
 results live in ``(model, version)`` buckets, so a retrained model (new
-version) invalidates exactly its own entries and nothing else.  The store
-is process-wide state shared by every feed of a multi-camera session: all
-mutation happens under one re-entrant lock, so concurrent per-feed scans
-interleave their writes without corrupting the tables, and the canonical
-JSON serialization is deterministic regardless of write order
-(``sort_keys=True``).
+version) invalidates exactly its own entries and nothing else.  One store
+is shared by every feed of a multi-camera session, whose feeds run one
+after another on one thread; the store holds no lock, so it serves one
+thread at a time.  Its canonical JSON serialization is deterministic
+regardless of write order (``sort_keys=True``), so the feed order does not
+change the saved bytes.  Separate processes may still save one file: each
+writes its own pid-tagged temporary file and renames it into place.
 
 Sessions never touch the store directly during a scan; they go through an
 :class:`IndexView` bound to one ``(video, zoo, obs)`` triple, which owns
@@ -55,7 +56,6 @@ class VideoIndexStore:
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self._lock = threading.RLock()
         self._payload: Dict[str, Any] = schema.empty_payload()
         #: True while the payload holds something the file does not: a
         #: stored value changed since the last load or save.
@@ -89,33 +89,31 @@ class VideoIndexStore:
 
         A store whose file exists and which recorded no new or changed value
         since it was loaded or last saved skips the write: a warm re-query
-        leaves the file as it is.  Otherwise the lock is held from
-        serialization to rename, so concurrent saves land one after another
-        and the file always holds a whole snapshot.  The temp file sits next
-        to the target (``os.replace`` stays a same-filesystem atomic rename)
-        under a per-process, per-thread name, so saves from other stores or
-        processes never share it.
+        leaves the file as it is.  Otherwise the snapshot goes to a temp
+        file next to the target (``os.replace`` stays a same-filesystem
+        atomic rename), so the file always holds a whole snapshot.  The
+        temp file's name carries the process and thread ids, so two
+        processes (or two stores on other threads) saving one index file
+        never share it.
         """
         if self.path is None:
             return
-        with self._lock:
-            if not self._dirty and os.path.exists(self.path):
-                return
-            data = self.to_json()
-            tmp = f"{self.path}.{os.getpid()}.{threading.get_ident()}.tmp"
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    fh.write(data)
-                os.replace(tmp, self.path)
-                self._dirty = False
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+        if not self._dirty and os.path.exists(self.path):
+            return
+        data = self.to_json()
+        tmp = f"{self.path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            os.replace(tmp, self.path)
+            self._dirty = False
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
     def to_json(self) -> str:
         """Canonical JSON: key-sorted, so equal contents serialize equally."""
-        with self._lock:
-            return json.dumps(self._payload, sort_keys=True)
+        return json.dumps(self._payload, sort_keys=True)
 
     # ------------------------------------------------------------------ views --
     def view(self, video: Any, zoo: Any, obs: Obs = DISABLED) -> "IndexView":
@@ -124,7 +122,7 @@ class VideoIndexStore:
 
     # ------------------------------------------------------------- raw access --
     def _video(self, video_key: str) -> Dict[str, Any]:
-        """The video's bucket, created on demand.  Caller holds the lock."""
+        """The video's bucket, created on demand."""
         return self._payload["videos"].setdefault(
             video_key, {"kinds": {}, "stats": {}}
         )
@@ -138,50 +136,46 @@ class VideoIndexStore:
         model version: the caller must invoke the model live (its fresh
         result then supersedes the whole stale bucket on the next write).
         """
-        with self._lock:
-            bucket = (
-                self._payload["videos"]
-                .get(video_key, {})
-                .get("kinds", {})
-                .get(kind, {})
-                .get(model_name)
-            )
-            if bucket is None:
-                return _MISS, None
-            if bucket.get("version") != version:
-                return _STALE, None
-            entries = bucket.get("entries", {})
-            if entry_key not in entries:
-                return _MISS, None
-            return _HIT, entries[entry_key]
+        bucket = (
+            self._payload["videos"]
+            .get(video_key, {})
+            .get("kinds", {})
+            .get(kind, {})
+            .get(model_name)
+        )
+        if bucket is None:
+            return _MISS, None
+        if bucket.get("version") != version:
+            return _STALE, None
+        entries = bucket.get("entries", {})
+        if entry_key not in entries:
+            return _MISS, None
+        return _HIT, entries[entry_key]
 
     def record(
         self, video_key: str, kind: str, model_name: str, version: str, entry_key: str, value: Any
     ) -> None:
         """Store one entry, replacing any stale (other-version) bucket."""
-        with self._lock:
-            kinds = self._video(video_key)["kinds"].setdefault(kind, {})
-            bucket = kinds.get(model_name)
-            if bucket is None or bucket.get("version") != version:
-                bucket = {"version": version, "entries": {}}
-                kinds[model_name] = bucket
-            entries = bucket["entries"]
-            if entries.get(entry_key, _ABSENT) != value:
-                entries[entry_key] = value
-                self._dirty = True
+        kinds = self._video(video_key)["kinds"].setdefault(kind, {})
+        bucket = kinds.get(model_name)
+        if bucket is None or bucket.get("version") != version:
+            bucket = {"version": version, "entries": {}}
+            kinds[model_name] = bucket
+        entries = bucket["entries"]
+        if entries.get(entry_key, _ABSENT) != value:
+            entries[entry_key] = value
+            self._dirty = True
 
     def record_stats(self, video_key: str, stats: Dict[str, Any]) -> None:
         """Merge observed per-video scan statistics."""
-        with self._lock:
-            stored = self._video(video_key)["stats"]
-            for name, value in stats.items():
-                if stored.get(name, _ABSENT) != value:
-                    stored[name] = value
-                    self._dirty = True
+        stored = self._video(video_key)["stats"]
+        for name, value in stats.items():
+            if stored.get(name, _ABSENT) != value:
+                stored[name] = value
+                self._dirty = True
 
     def video_stats(self, video_key: str) -> Dict[str, Any]:
-        with self._lock:
-            return dict(self._payload["videos"].get(video_key, {}).get("stats", {}))
+        return dict(self._payload["videos"].get(video_key, {}).get("stats", {}))
 
     def observed_stable_fraction(
         self, video_key: str, min_frames: int = 1

@@ -40,7 +40,6 @@ Decision catalog (action / reasons) — see docs/observability.md:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -67,12 +66,14 @@ class Decision:
 
 
 class DecisionLog:
-    """Thread-safe ring buffer of decisions with exact aggregate counts."""
+    """Ring buffer of decisions with exact aggregate counts.
+
+    Not thread-safe: one log serves one execution on one thread.
+    """
 
     def __init__(self, max_records: int = 4096) -> None:
         if max_records < 1:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
-        self._lock = threading.Lock()
         self._records: Deque[Decision] = deque(maxlen=max_records)
         self._counts: Dict[Tuple[str, str], int] = {}
         self.evicted = 0
@@ -86,18 +87,16 @@ class DecisionLog:
         **attrs: Any,
     ) -> None:
         decision = Decision(action, reason, frame_id, subject, tuple(sorted(attrs.items())))
-        with self._lock:
-            if len(self._records) == self._records.maxlen:
-                self.evicted += 1
-            self._records.append(decision)
-            key = (action, reason)
-            self._counts[key] = self._counts.get(key, 0) + 1
+        if len(self._records) == self._records.maxlen:
+            self.evicted += 1
+        self._records.append(decision)
+        key = (action, reason)
+        self._counts[key] = self._counts.get(key, 0) + 1
 
     def records(
         self, action: Optional[str] = None, reason: Optional[str] = None
     ) -> List[Decision]:
-        with self._lock:
-            snapshot = list(self._records)
+        snapshot = list(self._records)
         if action is not None:
             snapshot = [d for d in snapshot if d.action == action]
         if reason is not None:
@@ -106,22 +105,19 @@ class DecisionLog:
 
     def count(self, action: str, reason: Optional[str] = None) -> int:
         """Exact lifetime count for an action (never affected by eviction)."""
-        with self._lock:
-            if reason is not None:
-                return self._counts.get((action, reason), 0)
-            return sum(v for (a, _), v in self._counts.items() if a == action)
+        if reason is not None:
+            return self._counts.get((action, reason), 0)
+        return sum(v for (a, _), v in self._counts.items() if a == action)
 
     def summary(self) -> Dict[str, Dict[str, int]]:
         """``{action: {reason: count}}`` over the full log lifetime."""
-        with self._lock:
-            out: Dict[str, Dict[str, int]] = {}
-            for (action, reason), count in sorted(self._counts.items()):
-                out.setdefault(action, {})[reason] = count
-            return out
+        out: Dict[str, Dict[str, int]] = {}
+        for (action, reason), count in sorted(self._counts.items()):
+            out.setdefault(action, {})[reason] = count
+        return out
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
 
 class NullDecisionLog:

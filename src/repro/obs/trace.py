@@ -13,11 +13,12 @@ virtual milliseconds by snapshotting a ``SimClock`` at enter/exit.  A span
 never charges the clock it observes, which is what keeps results
 byte-identical with tracing on or off.
 
-Parenting is implicit via a thread-local span stack; cross-thread work
-(per-feed scans on the ``MultiCameraSession`` pool) passes ``parent=``
-explicitly and names a ``lane`` so exported traces render concurrent
-feeds as parallel lanes.  ``Tracer.span`` is a context manager and must be
-used in a ``with`` statement (staticcheck SC6xx enforces this).
+Parenting is implicit via one span stack per tracer: a tracer belongs to
+one execution on one thread (a ``MultiCameraSession`` runs its feeds one
+after another, so each ``feed-scan`` nests under ``execute-batch`` by the
+stack alone).  A feed's span names a ``lane`` so exported traces render
+each feed on its own lane.  ``Tracer.span`` is a context manager and must
+be used in a ``with`` statement (staticcheck SC6xx enforces this).
 
 Exporters: ``to_json`` (plain span dicts) and ``to_chrome_trace`` (Chrome
 trace-event format — load the file in Perfetto / ``chrome://tracing``).
@@ -26,7 +27,6 @@ trace-event format — load the file in Perfetto / ``chrome://tracing``).
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from types import MappingProxyType
@@ -103,48 +103,42 @@ _MAIN_LANE = "main"
 
 
 class Tracer:
-    """Collects spans; thread-safe; bounded by ``max_spans``."""
+    """Collects spans; bounded by ``max_spans``.
+
+    Not thread-safe: one tracer serves one execution on one thread.
+    """
 
     def __init__(self, max_spans: int = 100_000) -> None:
         self.max_spans = max_spans
         self.dropped = 0
         self._spans: List[Span] = []
         self._next_id = 1
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        #: The open spans, innermost last.
+        self._stack: List[Span] = []
         self._epoch = time.perf_counter()
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     @contextmanager
     def span(
         self,
         name: str,
         clock: Optional[Any] = None,
-        parent: Optional[Span] = None,
         lane: Optional[str] = None,
         **attrs: Any,
     ) -> Iterator[Span]:
-        """Open a timed region.  ``clock`` is a ``SimClock`` to snapshot
-        (never charged); ``parent`` overrides the thread-local stack for
-        cross-thread parenting; ``lane`` names the export lane (inherited
-        from the parent when omitted)."""
-        stack = self._stack()
-        parent_span = parent if parent is not None else (stack[-1] if stack else None)
+        """Open a timed region under the innermost open span.  ``clock`` is
+        a ``SimClock`` to snapshot (never charged); ``lane`` names the
+        export lane (inherited from the parent when omitted)."""
+        stack = self._stack
+        parent_span = stack[-1] if stack else None
         if lane is None and parent_span is not None:
             lane = parent_span.lane
-        with self._lock:
-            if len(self._spans) < self.max_spans:
-                span = Span(name, self._next_id, getattr(parent_span, "span_id", None), lane, attrs)
-                self._next_id += 1
-                self._spans.append(span)
-            else:
-                self.dropped += 1
-                span = Span(name, -1, None, lane, attrs)
+        if len(self._spans) < self.max_spans:
+            span = Span(name, self._next_id, getattr(parent_span, "span_id", None), lane, attrs)
+            self._next_id += 1
+            self._spans.append(span)
+        else:
+            self.dropped += 1
+            span = Span(name, -1, None, lane, attrs)
         span.wall_start_s = time.perf_counter() - self._epoch
         if clock is not None:
             span.virt_start_ms = clock.snapshot()
@@ -160,11 +154,9 @@ class Tracer:
     # -- queries ----------------------------------------------------------
 
     def spans(self, name: Optional[str] = None) -> List[Span]:
-        with self._lock:
-            recorded = list(self._spans)
         if name is None:
-            return recorded
-        return [s for s in recorded if s.name == name]
+            return list(self._spans)
+        return [s for s in self._spans if s.name == name]
 
     def total_virt_ms(self, name: Optional[str] = None) -> float:
         """Sum of virtual ms across (optionally name-filtered) spans."""
@@ -269,7 +261,7 @@ class NullTracer:
     def __init__(self) -> None:
         self._scope = _NullScope(Span("null", -1, None, None, MappingProxyType({})))
 
-    def span(self, name: str, clock=None, parent=None, lane=None, **attrs) -> _NullScope:
+    def span(self, name: str, clock=None, lane=None, **attrs) -> _NullScope:
         return self._scope
 
     def spans(self, name: Optional[str] = None) -> List[Span]:

@@ -20,7 +20,7 @@ Rule families
 * ``picklability`` (SC3xx) — fields of plans/streams/contexts/configs whose
   types cannot cross a process boundary (the shard-parallel entry gate).
 * ``thread-safety`` (SC4xx) — module-level mutable state mutated without a
-  lock, and closure hazards on the thread-pool worker path.
+  lock, and lambdas submitted to executor pools.
 * ``knob-hygiene`` (SC5xx) — every ``enable_*`` knob defaults to ``False``,
   is exercised by a test, and is documented.
 

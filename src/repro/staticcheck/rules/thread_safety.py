@@ -1,8 +1,8 @@
-"""SC4xx — thread-safety of state reachable from the worker pool.
+"""SC4xx — thread-safety of module-level state.
 
-:class:`~repro.backend.session.MultiCameraSession` fans per-camera scans
-out over a ``ThreadPoolExecutor``, so any module-level mutable state the
-worker path can touch is shared between threads.  The rule flags
+The engine runs an execution on the calling thread, but user code may call
+the library from several threads at once, so any module-level mutable
+state an execution can touch is shared between threads.  The rule flags
 module-level state that the module itself *mutates* (subscript writes,
 mutating method calls, or ``global`` rebinding) without holding a
 module-level :class:`threading.Lock` — read-only constant tables are fine

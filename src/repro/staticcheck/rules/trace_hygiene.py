@@ -2,9 +2,9 @@
 
 :meth:`repro.obs.trace.Tracer.span` is a context manager: the span's end
 timestamps (wall *and* virtual) are taken on ``__exit__``, and the
-thread-local parent stack is popped there too.  A span entered manually
-and never exited corrupts the parenting of every later span on that
-thread and never records itself — the trace silently loses a lane.  The
+tracer's parent stack is popped there too.  A span entered manually and
+never exited corrupts the parenting of every later span of that tracer
+and never records itself — the trace silently loses a lane.  The
 rule therefore flags every ``*.tracer.span(...)`` (or bare
 ``tracer.span(...)``) call that is not the context expression of a
 ``with`` statement or an ``ExitStack.enter_context(...)`` argument, and

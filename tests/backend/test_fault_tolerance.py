@@ -3,7 +3,7 @@
 Covers the off-switch identity guarantee (``enable_fault_tolerance=False``
 is byte-identical to the seed behaviour), deterministic fault injection
 (same seed => same results, decision log, and retry counters, regardless
-of ``max_workers`` or stride sampling), graceful degradation accounting
+of the feed order or stride sampling), graceful degradation accounting
 (every degraded frame lands in ``Event.skipped_frames`` and the decision
 log), per-feed failure isolation, retry/backoff/circuit-breaker unit
 semantics, and scan checkpoint/resume after an injected crash.
@@ -161,24 +161,23 @@ class TestChaosDeterminism:
         assert stats.faults_injected > 0
         assert stats.model_retries > 0
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_worker_count_invariance(self, workers):
-        """Fault draws are keyed, not ordered: thread interleaving is irrelevant."""
-        feeds = {name: chaos_video(name) for name in ("cam-a", "cam-b")}
-        multi = MultiCameraSession(feeds, config=ft_config(CHAOS), max_workers=workers)
-        merged = multi.execute(RedCarQuery())
-        serial = MultiCameraSession(
-            {name: chaos_video(name) for name in ("cam-a", "cam-b")},
-            config=ft_config(CHAOS),
-            max_workers=1,
-        ).execute(RedCarQuery())
-        for name in feeds:
-            assert merged.camera(name).matched_frames == serial.camera(name).matched_frames
-            assert merged.camera(name).matches == serial.camera(name).matches
-        per_feed = {
-            name: multi.sessions[name].last_context.scan_stats.as_dict() for name in feeds
-        }
-        assert all(stats["faults_injected"] > 0 for stats in per_feed.values())
+    def test_feed_order_invariance(self):
+        """Fault draws are keyed, not ordered: the feed order is irrelevant."""
+        names = ("cam-a", "cam-b")
+        forward = MultiCameraSession(
+            {name: chaos_video(name) for name in names}, config=ft_config(CHAOS)
+        )
+        backward = MultiCameraSession(
+            {name: chaos_video(name) for name in reversed(names)}, config=ft_config(CHAOS)
+        )
+        merged = forward.execute(RedCarQuery())
+        reverse = backward.execute(RedCarQuery())
+        for name in names:
+            assert merged.camera(name) == reverse.camera(name)
+            mine, theirs = (m.sessions[name].last_context for m in (forward, backward))
+            assert mine.clock.by_account == theirs.clock.by_account
+            assert mine.scan_stats.as_dict() == theirs.scan_stats.as_dict()
+            assert mine.scan_stats.faults_injected > 0
 
     @pytest.mark.parametrize("stride", [False, True])
     def test_stride_composes_deterministically(self, stride):

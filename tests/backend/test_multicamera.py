@@ -1,7 +1,10 @@
 """Tests for the multi-video batch API (MultiCameraSession / execute_over)."""
 
+import threading
+
 import pytest
 
+from repro.backend.planner import PlannerConfig
 from repro.backend.results import Event, MultiCameraResult, QueryResult
 from repro.backend.session import MultiCameraSession, QuerySession, _named_feeds
 from repro.common.config import VideoSpec
@@ -70,6 +73,37 @@ class TestMultiCameraSession:
         assert first.matched_frames() == second.matched_frames()
         assert first.merged_events() == second.merged_events()
         assert first.merged_aggregates() == second.merged_aggregates()
+
+    def test_max_workers_warns_and_changes_nothing(self, feeds, zoo, fast_config, tiny_video):
+        plain = MultiCameraSession(feeds, zoo=zoo, config=fast_config).execute(RedCarQuery())
+        for workers in (1, 4):
+            with pytest.warns(DeprecationWarning, match="max_workers"):
+                multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=workers)
+            merged = multi.execute(RedCarQuery())
+            for name in feeds:
+                assert merged.camera(name) == plain.camera(name)
+        session = QuerySession(tiny_video, zoo=zoo, config=fast_config)
+        want = session.execute_over(feeds, [RedCarQuery()])
+        with pytest.warns(DeprecationWarning, match="max_workers"):
+            got = session.execute_over(feeds, [RedCarQuery()], max_workers=2)
+        assert [dict(m.per_camera) for m in got] == [dict(m.per_camera) for m in want]
+
+    def test_execution_starts_no_thread(self, feeds, zoo, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        config = PlannerConfig(
+            profile_plans=False, enable_cross_camera_reid=True, enable_video_index=True
+        )
+        multi = MultiCameraSession(feeds, zoo=zoo, config=config)
+        merged = multi.execute(RedCarQuery())
+        assert merged.cameras == list(feeds)
+        assert started == []
 
     def test_count_aggregates_sum_across_feeds(self, feeds, zoo, fast_config):
         merged = MultiCameraSession(feeds, zoo=zoo, config=fast_config).execute(CarCountQuery())
@@ -321,22 +355,22 @@ class TestFeedFailureSettling:
 
                 monkeypatch.setattr(session, "execute_many", tracked)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fail_feed,survivor", [("jackson", "banff"), ("banff", "jackson")])
     def test_single_error_names_feed_and_keeps_survivors(
-        self, feeds, zoo, fast_config, monkeypatch, workers
+        self, feeds, zoo, fast_config, monkeypatch, fail_feed, survivor
     ):
         from repro.common.errors import ExecutionError
 
-        multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=workers)
+        multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config)
         ran = []
-        self._arm(multi, "banff", ran, monkeypatch)
+        self._arm(multi, fail_feed, ran, monkeypatch)
         with pytest.raises(ExecutionError) as excinfo:
             multi.execute(RedCarQuery())
-        # One error, naming the failing feed, with the survivors settled and
-        # their finished results attached.
-        assert "'banff'" in str(excinfo.value)
-        assert set(excinfo.value.failed_feeds) == {"banff"}
-        assert ran == ["jackson"]
-        assert set(excinfo.value.partial_results) == {"jackson"}
-        [result] = excinfo.value.partial_results["jackson"]
-        assert result.num_frames_processed == feeds["jackson"].num_frames
+        # One error, naming the failing feed, with the survivor run (also
+        # when it comes after the failing feed) and its results attached.
+        assert f"'{fail_feed}'" in str(excinfo.value)
+        assert set(excinfo.value.failed_feeds) == {fail_feed}
+        assert ran == [survivor]
+        assert set(excinfo.value.partial_results) == {survivor}
+        [result] = excinfo.value.partial_results[survivor]
+        assert result.num_frames_processed == feeds[survivor].num_frames

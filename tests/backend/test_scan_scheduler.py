@@ -497,7 +497,7 @@ class TestGateSkipLabels:
         assert any(25 in event.skipped_frames for event in result.events)
 
 
-class TestParallelMultiCamera:
+class TestMultiCameraFeedOrder:
     @pytest.fixture(scope="class")
     def feeds(self):
         return {
@@ -514,28 +514,33 @@ class TestParallelMultiCamera:
             SequentialQuery(RedCarQuery(), PersonQuery(), max_gap_s=5),
         ]
 
-    def test_parallel_merge_identical_to_serial(self, feeds, zoo, fast_config):
-        parallel = MultiCameraSession(feeds, zoo=zoo, config=fast_config).execute_many(self._batch())
-        serial = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=1).execute_many(
-            self._batch()
-        )
-        assert [m.query_name for m in parallel] == [m.query_name for m in serial]
-        for par, ser in zip(parallel, serial):
-            assert par.cameras == ser.cameras
+    def test_merge_identical_across_feed_order(self, feeds, zoo, fast_config):
+        forward = MultiCameraSession(feeds, zoo=zoo, config=fast_config)
+        backward = MultiCameraSession(dict(reversed(feeds.items())), zoo=zoo, config=fast_config)
+        got = forward.execute_many(self._batch())
+        want = backward.execute_many(self._batch())
+        assert [m.query_name for m in got] == [m.query_name for m in want]
+        for mine, theirs in zip(got, want):
+            assert mine.cameras == list(reversed(theirs.cameras))
             for name in feeds:
                 # Full dataclass equality: matches, events, aggregates,
-                # per-frame costs — the merge must be byte-identical.
-                assert par.camera(name) == ser.camera(name)
-            assert par.merged_events() == ser.merged_events()
-            assert par.merged_aggregates() == ser.merged_aggregates()
+                # per-frame costs — each feed's result is byte-identical.
+                assert mine.camera(name) == theirs.camera(name)
+            assert sorted(mine.merged_events()) == sorted(theirs.merged_events())
+        assert forward.last_scan_stats == backward.last_scan_stats
+        for name in feeds:
+            clock, other = (m.sessions[name].last_context.clock for m in (forward, backward))
+            assert clock.by_account == other.by_account
 
-    def test_execute_over_accepts_worker_bound(self, tiny_video, feeds, zoo, fast_config):
+    def test_execute_over_matches_a_multicamera_session(self, tiny_video, feeds, zoo, fast_config):
         session = QuerySession(tiny_video, zoo=zoo, config=fast_config)
-        parallel = session.execute_over(feeds, [RedCarQuery()])
-        serial = session.execute_over(feeds, [RedCarQuery()], max_workers=1)
-        assert parallel[0].cameras == serial[0].cameras == ["tiny", "jackson", "banff", "aux"]
-        for name in parallel[0].cameras:
-            assert parallel[0].camera(name) == serial[0].camera(name)
+        over = session.execute_over(feeds, [RedCarQuery()])
+        multi = MultiCameraSession(
+            {"tiny": tiny_video, **feeds}, zoo=zoo, config=fast_config
+        ).execute_many([RedCarQuery()])
+        assert over[0].cameras == multi[0].cameras == ["tiny", "jackson", "banff", "aux"]
+        for name in over[0].cameras:
+            assert over[0].camera(name) == multi[0].camera(name)
 
 
 class TestCrossCameraWithScheduler:

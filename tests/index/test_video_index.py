@@ -920,7 +920,7 @@ class TestTrackerReplay:
         again, got = run_batch(video, indexed_config(), store)
         assert got == full_index[1] and tracker_calls(again) == 0
 
-    def test_index_bytes_identical_across_max_workers(self):
+    def test_index_bytes_identical_across_feed_order(self):
         scenario = handoff_scenario(
             cameras=(
                 CameraPlacement("cam_a", fps=10, start_offset_s=0.0),
@@ -933,12 +933,9 @@ class TestTrackerReplay:
             profile_plans=False, enable_cross_camera_reid=True, enable_video_index=True
         )
         payloads = []
-        for workers in (1, 2):
+        for videos in (scenario.videos, dict(reversed(scenario.videos.items()))):
             session = MultiCameraSession(
-                scenario.videos,
-                config=config,
-                max_workers=workers,
-                start_offsets=scenario.start_offsets,
+                videos, config=config, start_offsets=scenario.start_offsets
             )
             session.execute(CarQuery())
             payloads.append(session.index_store.to_json())

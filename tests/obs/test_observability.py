@@ -153,7 +153,7 @@ class TestDisabledMode:
     def _contexts_multicam(self, clip, zoo):
         feeds = {"north": clip, "south": camera_clip("banff", duration_s=6, seed=1)}
         config = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True)
-        session = MultiCameraSession(feeds, zoo=zoo, config=config, max_workers=2)
+        session = MultiCameraSession(feeds, zoo=zoo, config=config)
         session.execute_many(batch())
         return [s.last_context for s in session.sessions.values()]
 
@@ -201,7 +201,7 @@ class TestDisabledMode:
         config = PlannerConfig(
             profile_plans=False, enable_tracing=tracing, enable_cross_camera_reid=True
         )
-        session = MultiCameraSession(feeds, zoo=zoo, config=config, max_workers=2)
+        session = MultiCameraSession(feeds, zoo=zoo, config=config)
         merged = session.execute_many(batch())
         assert session.last_links.identities
         observed = (
@@ -427,29 +427,44 @@ class TestMultiCamera:
             "south": camera_clip("banff", duration_s=6, seed=1),
         }
 
-    def test_parallel_lanes_and_determinism(self, zoo):
+    def test_lanes_and_decisions_do_not_depend_on_feed_order(self, zoo):
         config = PlannerConfig(enable_tracing=True)
-        par = MultiCameraSession(self.feeds(), zoo=zoo, config=config, max_workers=2)
-        ser = MultiCameraSession(self.feeds(), zoo=zoo, config=config, max_workers=1)
-        rp = par.execute_many(batch())
-        rs = ser.execute_many(batch())
-        for name in par.sessions:
-            assert rp[0].camera(name) == rs[0].camera(name)
-            assert rp[1].camera(name) == rs[1].camera(name)
-        # virtual time is worker-count independent (wall time is not)
-        assert par.last_obs.tracer.total_virt_ms("scan") == ser.last_obs.tracer.total_virt_ms("scan")
-        assert set(par.last_obs.tracer.lanes()) == {"main", "north", "south"}
+        feeds = self.feeds()
+        forward = MultiCameraSession(feeds, zoo=zoo, config=config)
+        backward = MultiCameraSession(dict(reversed(feeds.items())), zoo=zoo, config=config)
+        got = forward.execute_many(batch())
+        want = backward.execute_many(batch())
+        for name in feeds:
+            assert got[0].camera(name) == want[0].camera(name)
+            assert got[1].camera(name) == want[1].camera(name)
+
+        def per_lane(session):
+            tracer = session.last_obs.tracer
+            return {s.lane: s.virt_ms for s in tracer.spans("scan")}
+
+        # Each feed's scan keeps its own lane and virtual time.
+        assert per_lane(forward) == per_lane(backward)
+        assert set(per_lane(forward)) == {"north", "south"}
+        assert forward.last_obs.tracer.lanes() == ["main", "north", "south"]
+        assert backward.last_obs.tracer.lanes() == ["main", "south", "north"]
+        assert forward.last_obs.decisions.summary() == backward.last_obs.decisions.summary()
 
     def test_feed_spans_parent_under_the_batch_root(self, zoo):
         session = MultiCameraSession(
-            self.feeds(), zoo=zoo, config=PlannerConfig(enable_tracing=True), max_workers=2
+            self.feeds(), zoo=zoo, config=PlannerConfig(enable_tracing=True)
         )
         session.execute_many(batch())
         tracer = session.last_obs.tracer
         (root,) = tracer.spans("execute-batch")
         feed_spans = tracer.spans("feed-scan")
-        assert {s.lane for s in feed_spans} == {"north", "south"}
+        # One feed-scan per feed, in feed order, each on its own lane.
+        assert [s.lane for s in feed_spans] == ["north", "south"]
+        assert [s.attrs["feed"] for s in feed_spans] == ["north", "south"]
         assert all(s.parent_id == root.span_id for s in feed_spans)
+        by_id = {s.span_id: s for s in tracer.spans()}
+        for scan in tracer.spans("scan"):
+            assert by_id[scan.parent_id].name == "feed-scan"
+            assert by_id[scan.parent_id].lane == scan.lane
 
     def test_last_scan_stats_per_feed(self, zoo):
         session = MultiCameraSession(self.feeds(), zoo=zoo)
@@ -468,7 +483,7 @@ class TestMultiCamera:
 
     def test_reid_link_span_and_decisions(self, zoo):
         config = PlannerConfig(enable_tracing=True, enable_cross_camera_reid=True)
-        session = MultiCameraSession(self.feeds(), zoo=zoo, config=config, max_workers=2)
+        session = MultiCameraSession(self.feeds(), zoo=zoo, config=config)
         session.execute_many(batch())
         tracer = session.last_obs.tracer
         (link,) = tracer.spans("reid-link")

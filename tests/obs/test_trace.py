@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import threading
 
 import pytest
 
@@ -62,18 +61,19 @@ def test_lane_inheritance():
     assert tracer.lanes() == ["cam-1"]
 
 
-def test_explicit_parent_across_threads():
+def test_sequential_lanes_nest_under_the_open_span():
     tracer = Tracer()
     with tracer.span("root") as root:
-        def worker():
-            with tracer.span("feed", parent=root, lane="cam-2"):
-                pass
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-    feed = tracer.spans("feed")[0]
-    assert feed.parent_id == root.span_id
-    assert feed.lane == "cam-2"
+        for lane in ("cam-1", "cam-2"):
+            with tracer.span("feed", lane=lane) as feed:
+                with tracer.span("scan") as scan:
+                    pass
+            assert feed.parent_id == root.span_id
+            assert (scan.parent_id, scan.lane) == (feed.span_id, lane)
+    with tracer.span("after") as after:
+        pass
+    assert after.parent_id is None
+    assert [s.lane for s in tracer.spans("feed")] == ["cam-1", "cam-2"]
 
 
 def test_max_spans_cap_counts_drops():
@@ -116,10 +116,10 @@ def test_json_export_roundtrips(tmp_path):
 
 def test_chrome_trace_structure(tmp_path):
     tracer = Tracer()
-    with tracer.span("batch") as root:
-        with tracer.span("feed-a", parent=root, lane="a"):
+    with tracer.span("batch"):
+        with tracer.span("feed-a", lane="a"):
             pass
-        with tracer.span("feed-b", parent=root, lane="b"):
+        with tracer.span("feed-b", lane="b"):
             pass
     doc = tracer.to_chrome_trace()
     assert doc["displayTimeUnit"] == "ms"
