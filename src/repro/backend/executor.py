@@ -20,13 +20,15 @@ determined, and the scan terminates early once every stream is done.
 The sink enumerates bindings of the surviving objects, re-checks the full
 frame/video constraints (cheap — property values are already cached on the
 object states), resolves the outputs, and accumulates video-level
-aggregates.
+aggregates.  It is compiled once per leaf (:meth:`Executor.compile_sink`),
+together with the predicates and outputs it evaluates.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.analysis import QueryAnalysis
 from repro.backend.graph import FrameGraph, VObjNode
@@ -44,11 +46,15 @@ from repro.backend.streaming import (
 )
 from repro.common.errors import ExecutionError, FeedFailedError
 from repro.faults import FaultManager, ScanCheckpointer
-from repro.frontend.expr import Env, MISSING, TRUE
+from repro.frontend.expr import MISSING, TRUE
 from repro.frontend.higher_order import DurationQuery, TemporalQuery
 from repro.frontend.query import Query
 from repro.obs.core import DISABLED, Obs
 from repro.videosim.video import SyntheticVideo, VideoReader
+
+#: A compiled sink (:meth:`Executor.compile_sink`): ``(graph, ctx, result)``
+#: emits the frame's matches into the result.
+Sink = Callable[[FrameGraph, ExecutionContext, QueryResult], None]
 
 
 class Executor:
@@ -297,94 +303,107 @@ class Executor:
         )
 
     # ------------------------------------------------------------------- sink --
-    def _sink(
-        self, analysis: QueryAnalysis, graph: FrameGraph, ctx: ExecutionContext, result: QueryResult
-    ) -> None:
-        """Enumerate bindings, evaluate residual constraints, emit matches."""
-        if graph.dropped:
-            return
-        frame = graph.frame
+    @staticmethod
+    def compile_sink(analysis: QueryAnalysis) -> Sink:
+        """The plan's sink: enumerate bindings, evaluate residual
+        constraints, emit matches.
+
+        Compiled once per leaf.  A binding's runtime states sit in one
+        tuple: the VObj variables' node states, then the scene states, then
+        the relation states, and every predicate and output is compiled
+        over that layout.  Per binding the sink reads properties in a fixed
+        order (frame predicate, video predicate, identity, outputs,
+        aggregates), so lazily computed properties charge the clock in that
+        order.  The closure holds no per-scan state, so checkpoint copies
+        of a leaf share it.
+        """
         vobj_vars = [info.variable for info in analysis.variables if not info.is_scene]
         scene_vars = [info.variable for info in analysis.variables if info.is_scene]
+        relations = [info.relation for info in analysis.relations]
+        slots = {var: slot for slot, var in enumerate(vobj_vars + scene_vars + relations)}
+        position = {var: i for i, var in enumerate(vobj_vars)}
+        scenes = [(id(var), type(var)) for var in scene_vars]
+        # (relation key, subject position, object position) per relation.  A
+        # relation whose subject or object is not a VObj variable of the
+        # plan has no state for any binding, so the plan never matches.
+        relation_ends = [
+            (id(rel), position.get(rel.subject), position.get(rel.object)) for rel in relations
+        ]
+        binds = all(subject is not None and object_ is not None for _, subject, object_ in relation_ends)
+        # The signature lists (variable name, identity) sorted by name.
+        signature_order = [
+            (var.var_name, position[var]) for var in sorted(vobj_vars, key=lambda v: v.var_name)
+        ]
+        frame_test = analysis.frame_predicate.compile(slots)
+        video_predicate = analysis.video_predicate
+        video_test = None if video_predicate is TRUE else video_predicate.compile(slots)
+        # A pure aggregation query counts every frame-matching binding.
+        aggregate_frame_matches = video_predicate is TRUE and bool(analysis.video_outputs)
+        outputs = [expr.compile(slots) for expr in analysis.frame_outputs]
+        aggregates = [agg.expr.compile(slots) for agg in analysis.video_outputs]
+        single = vobj_vars[0] if len(vobj_vars) == 1 else None
 
-        scene_bindings = {
-            var: graph.scene_states.get(id(var)) or ctx.scene_state(type(var), frame)
-            for var in scene_vars
-        }
-
-        relation_states = graph.relation_states
-        frame_matches: List[MatchRecord] = []
-
-        for binding in graph.bindings(vobj_vars) if vobj_vars else iter([{}]):
-            env: Dict[Any, Any] = dict(scene_bindings)
-            for var, node in binding.items():
-                env[var] = node.state
-            ok = True
-            for rel_info in analysis.relations:
-                rel = rel_info.relation
-                subj_node = binding.get(rel.subject)
-                obj_node = binding.get(rel.object)
-                if subj_node is None or obj_node is None:
-                    ok = False
-                    break
-                rel_state = relation_states.get(id(rel), {}).get((subj_node.node_id, obj_node.node_id))
-                if rel_state is None:
-                    ok = False
-                    break
-                env[rel] = rel_state
-            if not ok:
-                continue
-
-            frame_ok = analysis.frame_predicate.evaluate(env)
-            video_ok = analysis.video_predicate is not TRUE and analysis.video_predicate.evaluate(env)
-            if analysis.video_predicate is TRUE and analysis.video_outputs:
-                # A pure aggregation query counts every frame-matching binding.
-                video_ok = frame_ok
+        def match(nodes: Tuple[VObjNode, ...], states: Tuple[Any, ...], relation_states, frame_id: int):
+            if relation_ends:
+                found = []
+                for key, subject, object_ in relation_ends:
+                    pairs = relation_states.get(key)
+                    rel_state = None if pairs is None else pairs.get((nodes[subject].node_id, nodes[object_].node_id))
+                    if rel_state is None:
+                        return None
+                    found.append(rel_state)
+                states += tuple(found)
+            frame_ok = frame_test(states)
+            if video_test is not None:
+                video_ok = video_test(states)
+            else:
+                video_ok = frame_ok if aggregate_frame_matches else False
             if not frame_ok and not video_ok:
-                continue
+                return None
+            signature = tuple([(name, _binding_identity(nodes[i])) for name, i in signature_order])
+            if frame_ok:
+                values = [resolve(states) for resolve in outputs]
+                frame_values = tuple([None if v is MISSING else v for v in values])
+            else:
+                frame_values = ()
+            if video_ok:
+                values = [resolve(states) for resolve in aggregates]
+                aggregate_values = tuple([None if v is MISSING else v for v in values])
+            else:
+                aggregate_values = ()
+            return MatchRecord(frame_id, signature, frame_values, frame_ok, video_ok, aggregate_values)
 
-            signature = tuple(
-                (var.var_name, self._binding_identity(node))
-                for var, node in sorted(binding.items(), key=lambda kv: kv[0].var_name)
+        def sink(graph: FrameGraph, ctx: ExecutionContext, result: QueryResult) -> None:
+            if graph.dropped:
+                return
+            frame = graph.frame
+            frame_id = frame.frame_id
+            scene_states = graph.scene_states
+            context = tuple(
+                [scene_states.get(key) or ctx.scene_state(scene_type, frame) for key, scene_type in scenes]
             )
-            outputs = tuple(self._resolve_value(expr, env) for expr in analysis.frame_outputs) if frame_ok else ()
-            agg_values = tuple(self._resolve_value(agg.expr, env) for agg in analysis.video_outputs) if video_ok else ()
-            frame_matches.append(
-                MatchRecord(
-                    frame_id=frame.frame_id,
-                    binding=signature,
-                    outputs=outputs,
-                    frame_match=frame_ok,
-                    video_match=video_ok,
-                    aggregate_values=agg_values,
-                )
-            )
+            if not binds:
+                return
+            relation_states = graph.relation_states
+            records = []
+            if single is not None:
+                for node in graph.nodes(single):
+                    record = match((node,), (node.state,) + context, relation_states, frame_id)
+                    if record is not None:
+                        records.append(record)
+            else:
+                pools = [graph.nodes(var) for var in vobj_vars]
+                for nodes in itertools.product(*pools):
+                    states = tuple([node.state for node in nodes]) + context
+                    record = match(nodes, states, relation_states, frame_id)
+                    if record is not None:
+                        records.append(record)
+            if records:
+                if any(record.frame_match for record in records):
+                    result.matched_frames.append(frame_id)
+                result.matches[frame_id] = records
 
-        if frame_matches:
-            if any(m.frame_match for m in frame_matches):
-                result.matched_frames.append(frame.frame_id)
-            result.matches[frame.frame_id] = frame_matches
-
-    @staticmethod
-    def _binding_identity(node: VObjNode) -> Any:
-        """The object identity recorded in a match signature.
-
-        Tracked plans use the track id.  Plans without a tracker have no
-        track id; falling back to the frame-graph node id keeps distinct
-        objects in the same frame distinct instead of collapsing every
-        untracked object into one ``None`` signature (which merged separate
-        events in event extraction).  The ``@`` prefix marks the value as a
-        positional, non-track identity.
-        """
-        track_id = node.state.get("track_id")
-        if track_id is not None:
-            return track_id
-        return f"@{node.node_id}"
-
-    @staticmethod
-    def _resolve_value(expr, env: Env) -> Any:
-        value = expr.resolve(env)
-        return None if value is MISSING else value
+        return sink
 
     # -------------------------------------------------------------- aggregates --
     def _finalize_aggregates(self, analysis: QueryAnalysis, result: QueryResult, video: SyntheticVideo) -> None:
@@ -407,6 +426,22 @@ class Executor:
                 result.aggregates[label] = max(per_frame.values(), default=0)
             elif agg.kind == "collect":
                 result.aggregates[label] = values
+
+
+def _binding_identity(node: VObjNode) -> Any:
+    """The object identity recorded in a match signature.
+
+    Tracked plans use the track id.  Plans without a tracker have no
+    track id; falling back to the frame-graph node id keeps distinct
+    objects in the same frame distinct instead of collapsing every
+    untracked object into one ``None`` signature (which merged separate
+    events in event extraction).  The ``@`` prefix marks the value as a
+    positional, non-track identity.
+    """
+    track_id = node.state.get("track_id")
+    if track_id is not None:
+        return track_id
+    return f"@{node.node_id}"
 
 
 def extract_events(result: QueryResult, max_gap: int = 5, min_length: int = 1) -> List[Event]:

@@ -58,8 +58,9 @@ class FrameGraph:
     def bindings(self, variables: Iterable[Any]) -> Iterator[Dict[Any, VObjNode]]:
         """Cartesian product of surviving nodes across the given variables.
 
-        Yields one binding (variable → node) per combination; the sink
-        enumerates candidate multi-object matches with it.
+        Yields one binding (variable → node) per combination, in the
+        order the compiled sink enumerates its candidate matches
+        (:meth:`~repro.backend.executor.Executor.compile_sink`).
         """
         variables = list(variables)
         pools = [self.nodes(v) for v in variables]

@@ -175,7 +175,11 @@ class ProjectorOp(Operator):
 
 
 class VObjFilterOp(Operator):
-    """Removes a variable's nodes that fail a single-variable predicate."""
+    """Removes a variable's nodes that fail a single-variable predicate.
+
+    The predicate is compiled once, over a one-slot states tuple holding
+    the node's state.
+    """
 
     kind = "object_filter"
 
@@ -183,10 +187,12 @@ class VObjFilterOp(Operator):
         super().__init__(label or f"filter[{variable.var_name}]")
         self.variable = variable
         self.predicate = predicate
+        self._test = predicate.compile({variable: 0})
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
+        test = self._test
         for node in graph.nodes(self.variable):
-            if not self.predicate.evaluate({self.variable: node.state}):
+            if not test((node.state,)):
                 graph.remove_node(node)
         return graph
 
@@ -271,7 +277,11 @@ class RelationProjectorOp(Operator):
 
 
 class RelationFilterOp(Operator):
-    """Drops the relation states that fail a predicate."""
+    """Drops the relation states that fail a predicate.
+
+    The predicate is compiled once, over the states tuple ``(relation
+    state, subject state, object state)``.
+    """
 
     kind = "relation_filter"
 
@@ -279,17 +289,15 @@ class RelationFilterOp(Operator):
         super().__init__(f"filter[{relation.var_name}]")
         self.relation = relation
         self.predicate = predicate
+        slots = {relation: 0, relation.subject: 1, relation.object: 2}
+        self._test = predicate.compile(slots)
 
     def process(self, graph: FrameGraph, ctx: ExecutionContext) -> FrameGraph:
         states = graph.relation_states.get(id(self.relation), {})
         surviving: Dict[Tuple[int, int], Any] = {}
+        test = self._test
         for pair, rel_state in states.items():
-            env = {
-                self.relation: rel_state,
-                self.relation.subject: rel_state.subject,
-                self.relation.object: rel_state.object,
-            }
-            if self.predicate.evaluate(env):
+            if test((rel_state, rel_state.subject, rel_state.object)):
                 surviving[pair] = rel_state
         graph.relation_states[id(self.relation)] = surviving
         return graph

@@ -46,9 +46,10 @@ def structural(value: Any) -> Any:
     VObj variables map to ``(type, var_name)`` and relations to their type,
     name and endpoints; literals compare by value (and type, so ``1`` and
     ``True`` differ); operators, value expressions, predicates and
-    aggregates compare attribute by attribute.  Everything else, callables
-    included, compares by identity, so an unknown object never makes two
-    structures equal.  ``repr`` is not used: it drops information (a
+    aggregates compare attribute by attribute, skipping private ones (an
+    operator's compiled predicate is derived from its public attributes).
+    Everything else, callables included, compares by identity, so an
+    unknown object never makes two structures equal.  ``repr`` is not used: it drops information (a
     ``PropertyRef`` renders without its VObj type).
     """
     kind = type(value)
@@ -63,7 +64,14 @@ def structural(value: Any) -> Any:
     if isinstance(value, Relation):
         return (Relation, kind, value.var_name, structural(value.subject), structural(value.object))
     if isinstance(value, (Operator, ValueExpr, Predicate, Aggregate)):
-        return (kind, tuple((name, structural(attr)) for name, attr in sorted(vars(value).items())))
+        return (
+            kind,
+            tuple(
+                (name, structural(attr))
+                for name, attr in sorted(vars(value).items())
+                if not name.startswith("_")
+            ),
+        )
     return _Identity(value)
 
 

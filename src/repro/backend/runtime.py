@@ -549,13 +549,13 @@ class ExecutionContext:
             frame_id = frame.frame_id
             cursor = self._track_cursor.get(key, 0)
             contiguous = cursor == frame_id
-            tracked: Optional[List[Detection]] = None
+            served: Optional[List[Detection]] = None
             if key not in self._trackers:
                 if contiguous:
-                    tracked = self._replay_frame(key, frame_id, detections)
-                if tracked is None:
+                    served = self._replay_frame(key, frame_id, detections)
+                if served is None:
                     self._rebuild_tracker(key, frame_id, "table-miss" if contiguous else "frame-gap")
-            if tracked is None:
+            if served is None:
                 with self.obs.tracer.span(
                     "model-invocation",
                     clock=self.clock,
@@ -566,11 +566,12 @@ class ExecutionContext:
                     tracked = self._trackers[key].update(list(detections), self.clock)
                 if contiguous:
                     self.index.record_track_ids(tracker_name, detector_name, frame_id, tracked)
+                # The tracker numbers tracks locally from 1; everything past
+                # this point (results, signatures, re-id, the persistent
+                # index) sees only the namespaced global ids.
+                served = self._namespace_tracks(key, tracked)
             self._track_cursor[key] = frame_id + 1 if contiguous else None
-            # The tracker numbers tracks locally from 1; everything past this
-            # point (results, signatures, re-id, the persistent index) sees
-            # only the namespaced global ids.
-            per_frame[key] = self._namespace_tracks(key, tracked)
+            per_frame[key] = served
             for det in per_frame[key]:
                 if det.track_id is not None:
                     self._track_first_seen.setdefault(det.track_id, frame.frame_id)
@@ -584,12 +585,18 @@ class ExecutionContext:
 
         None when the index has no ids for the frame or their count does
         not match the frame's detections.  A served frame creates no
-        tracker and charges no clock time.
+        tracker and charges no clock time.  The stored ids are
+        tracker-local; each is mapped to its global id first, so every
+        served detection is built once, already namespaced.
         """
         ids = self.index.lookup_track_ids(key[0], key[1], frame_id, len(detections))
         if ids is None:
             return None
-        return [det.with_track(tid) for det, tid in zip(detections, ids)]
+        global_id = self._global_track_id
+        return [
+            det.with_track(None if tid is None else global_id(key, tid))
+            for det, tid in zip(detections, ids)
+        ]
 
     def _rebuild_tracker(self, key: Tuple[str, str], frame_id: int, reason: str) -> Any:
         """Create the pair's live tracker, fed every frame served so far.

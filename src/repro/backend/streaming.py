@@ -289,6 +289,7 @@ class PlanStream(QueryStream):
         #: Detector models this leaf runs per frame (stride-sampler probes).
         self.detector_models = plan.detector_models()
         self.operators = plan.pipeline_operators() if gated else plan.operators()
+        self._sink = executor.compile_sink(plan.analysis)
         #: Operators the last :meth:`process_frame` ran, up to and including
         #: the one that dropped the frame.
         self.ops_run = 0
@@ -354,7 +355,7 @@ class PlanStream(QueryStream):
             if graph.dropped:
                 break
         self.ops_run = ran
-        self.executor._sink(self.plan.analysis, graph, ctx, self.result)
+        self._sink(graph, ctx, self.result)
         self.result.num_frames_processed += 1
 
     def reuse_frame(self, frame: Frame, twin: "PlanStream", ctx: ExecutionContext) -> None:

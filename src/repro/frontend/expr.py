@@ -11,6 +11,14 @@ executor evaluates lazily against runtime objects.
 Evaluation is three-valued in spirit but collapses to ``False`` whenever a
 referenced property is missing (e.g. the object was not detected), which is
 the semantics a filter needs.
+
+Each node's semantics live in one place, its ``compile`` method: given the
+slot of every query variable (:data:`Slots`), a node lowers itself once
+into a closure that reads the variables' runtime states from a tuple by
+position.  The engine compiles each predicate and output once per plan and
+calls the closures per binding.  :meth:`Predicate.evaluate` and
+:meth:`ValueExpr.resolve` evaluate against an ``env`` mapping by compiling
+on the spot; they serve tests and tools, not the engine.
 """
 
 from __future__ import annotations
@@ -29,6 +37,16 @@ from repro.common.errors import QueryDefinitionError
 #: VObj states implement this.  A plain dict, read as is.
 Env = Mapping[Any, Any]
 
+#: Query variable -> its position in the tuple of runtime states a compiled
+#: expression reads.  A variable without a slot reads as absent.
+Slots = Mapping[Any, int]
+
+#: A compiled value expression: states tuple -> value (may be MISSING).
+Resolver = Callable[[Sequence[Any]], Any]
+
+#: A compiled predicate: states tuple -> ``True`` or ``False``.
+Test = Callable[[Sequence[Any]], bool]
+
 
 class _Missing:
     """Sentinel distinguishing "property unavailable" from a None value."""
@@ -40,6 +58,19 @@ class _Missing:
 MISSING = _Missing()
 
 
+def _env_slots(env: Env) -> Tuple[Dict[Any, int], Tuple[Any, ...]]:
+    """The slots and states tuple that stand for an ``env`` mapping."""
+    return {var: slot for slot, var in enumerate(env)}, tuple(env.values())
+
+
+def _always_true(states: Sequence[Any]) -> bool:
+    return True
+
+
+def _always_missing(states: Sequence[Any]) -> Any:
+    return MISSING
+
+
 # ---------------------------------------------------------------------------
 # Value expressions
 # ---------------------------------------------------------------------------
@@ -49,8 +80,13 @@ class ValueExpr(ABC):
     """An expression producing a value (not a truth value)."""
 
     @abstractmethod
+    def compile(self, slots: Slots) -> Resolver:
+        """This expression as a closure over a states tuple laid out by ``slots``."""
+
     def resolve(self, env: Env) -> Any:
         """The expression's value under ``env`` (may be :data:`MISSING`)."""
+        slots, states = _env_slots(env)
+        return self.compile(slots)(states)
 
     @abstractmethod
     def variables(self) -> Set[Any]:
@@ -112,8 +148,13 @@ class Literal(ValueExpr):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def resolve(self, env: Env) -> Any:
-        return self.value
+    def compile(self, slots: Slots) -> Resolver:
+        value = self.value
+
+        def resolve(states: Sequence[Any]) -> Any:
+            return value
+
+        return resolve
 
     def variables(self) -> Set[Any]:
         return set()
@@ -132,12 +173,20 @@ class PropertyRef(ValueExpr):
         self.variable = variable
         self.property_name = property_name
 
-    def resolve(self, env: Env) -> Any:
-        accessor = env.get(self.variable)
-        if accessor is None:
-            return MISSING
-        value = accessor.get(self.property_name)
-        return MISSING if value is None else value
+    def compile(self, slots: Slots) -> Resolver:
+        slot = slots.get(self.variable)
+        if slot is None:
+            return _always_missing
+        name = self.property_name
+
+        def resolve(states: Sequence[Any]) -> Any:
+            accessor = states[slot]
+            if accessor is None:
+                return MISSING
+            value = accessor.get(name)
+            return MISSING if value is None else value
+
+        return resolve
 
     def variables(self) -> Set[Any]:
         return {self.variable}
@@ -163,11 +212,17 @@ class DerivedRef(ValueExpr):
         self.args = list(args)
         self.label = label
 
-    def resolve(self, env: Env) -> Any:
-        values = [a.resolve(env) for a in self.args]
-        if any(v is MISSING for v in values):
-            return MISSING
-        return self.func(*values)
+    def compile(self, slots: Slots) -> Resolver:
+        args = [a.compile(slots) for a in self.args]
+        func = self.func
+
+        def resolve(states: Sequence[Any]) -> Any:
+            values = [arg(states) for arg in args]
+            if any(v is MISSING for v in values):
+                return MISSING
+            return func(*values)
+
+        return resolve
 
     def variables(self) -> Set[Any]:
         out: Set[Any] = set()
@@ -211,8 +266,13 @@ class Predicate(ABC):
     """A boolean expression over query variables."""
 
     @abstractmethod
+    def compile(self, slots: Slots) -> Test:
+        """This predicate as a closure over a states tuple laid out by ``slots``."""
+
     def evaluate(self, env: Env) -> bool:
         """Truth value under ``env`` (missing properties make it ``False``)."""
+        slots, states = _env_slots(env)
+        return self.compile(slots)(states)
 
     @abstractmethod
     def variables(self) -> Set[Any]:
@@ -253,8 +313,8 @@ def _check_predicate(value: Any) -> "Predicate":
 class TruePredicate(Predicate):
     """Always true; the neutral element for conjunction."""
 
-    def evaluate(self, env: Env) -> bool:
-        return True
+    def compile(self, slots: Slots) -> Test:
+        return _always_true
 
     def variables(self) -> Set[Any]:
         return set()
@@ -281,15 +341,24 @@ class Comparison(Predicate):
         self.op = op
         self.right = right
 
-    def evaluate(self, env: Env) -> bool:
-        lhs = self.left.resolve(env)
-        rhs = self.right.resolve(env)
-        if lhs is MISSING or rhs is MISSING:
-            return False
-        try:
-            return bool(self.op(lhs, rhs))
-        except TypeError:
-            return False
+    def compile(self, slots: Slots) -> Test:
+        left = self.left.compile(slots)
+        right = self.right.compile(slots)
+        op = self.op
+
+        def test(states: Sequence[Any]) -> bool:
+            # Both sides are read before either is checked, so a missing
+            # left side still reads (and charges) the right side's properties.
+            lhs = left(states)
+            rhs = right(states)
+            if lhs is MISSING or rhs is MISSING:
+                return False
+            try:
+                return bool(op(lhs, rhs))
+            except TypeError:
+                return False
+
+        return test
 
     def variables(self) -> Set[Any]:
         return self.left.variables() | self.right.variables()
@@ -313,11 +382,17 @@ class FunctionPredicate(Predicate):
         self.args = list(args)
         self.label = label
 
-    def evaluate(self, env: Env) -> bool:
-        values = [a.resolve(env) for a in self.args]
-        if any(v is MISSING for v in values):
-            return False
-        return bool(self.func(*values))
+    def compile(self, slots: Slots) -> Test:
+        args = [a.compile(slots) for a in self.args]
+        func = self.func
+
+        def test(states: Sequence[Any]) -> bool:
+            values = [arg(states) for arg in args]
+            if any(v is MISSING for v in values):
+                return False
+            return bool(func(*values))
+
+        return test
 
     def variables(self) -> Set[Any]:
         out: Set[Any] = set()
@@ -356,8 +431,16 @@ class And(Predicate):
                 flat.append(child)
         self.children = flat
 
-    def evaluate(self, env: Env) -> bool:
-        return all(c.evaluate(env) for c in self.children)
+    def compile(self, slots: Slots) -> Test:
+        tests = [c.compile(slots) for c in self.children]
+
+        def test(states: Sequence[Any]) -> bool:
+            for child in tests:
+                if not child(states):
+                    return False
+            return True
+
+        return test
 
     def variables(self) -> Set[Any]:
         out: Set[Any] = set()
@@ -392,8 +475,16 @@ class Or(Predicate):
                 flat.append(child)
         self.children = flat
 
-    def evaluate(self, env: Env) -> bool:
-        return any(c.evaluate(env) for c in self.children)
+    def compile(self, slots: Slots) -> Test:
+        tests = [c.compile(slots) for c in self.children]
+
+        def test(states: Sequence[Any]) -> bool:
+            for child in tests:
+                if child(states):
+                    return True
+            return False
+
+        return test
 
     def variables(self) -> Set[Any]:
         out: Set[Any] = set()
@@ -418,8 +509,9 @@ class Not(Predicate):
     def __init__(self, child: Predicate) -> None:
         self.child = _check_predicate(child)
 
-    def evaluate(self, env: Env) -> bool:
-        return not self.child.evaluate(env)
+    def compile(self, slots: Slots) -> Test:
+        child = self.child.compile(slots)
+        return lambda states: not child(states)
 
     def variables(self) -> Set[Any]:
         return self.child.variables()

@@ -16,14 +16,7 @@ whose lookups miss and whose records are dropped, so execution is
 byte-identical to an index-free run.
 """
 
-from repro.index.schema import (
-    SCHEMA_VERSION,
-    detection_from_record,
-    detection_key,
-    detection_to_record,
-    model_version,
-    video_key,
-)
+from repro.index.schema import SCHEMA_VERSION, detection_key, model_version, video_key
 from repro.index.store import NO_INDEX, IndexView, InertIndexView, VideoIndexStore
 
 __all__ = [
@@ -32,9 +25,7 @@ __all__ = [
     "InertIndexView",
     "NO_INDEX",
     "VideoIndexStore",
-    "detection_from_record",
     "detection_key",
-    "detection_to_record",
     "model_version",
     "video_key",
 ]

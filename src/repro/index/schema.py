@@ -3,10 +3,12 @@
 Everything the index persists must survive a JSON round trip *exactly*:
 a warm run that reads a detection back must behave byte-identically to the
 cold run that produced it.  Python's ``json`` round-trips floats via
-``repr``, so bbox coordinates and scores come back bit-equal; embeddings
-are stored as plain float lists and rebuilt as float64 arrays.  Property
-and interaction model outputs are stored only when they are JSON-exact
-scalars (:func:`json_exact`); anything else is never persisted.
+``repr``, so bbox coordinates and scores come back bit-equal (an int
+coordinate stays an int).  A frame's detections are one flat row of
+atomic values (:func:`detections_to_row`); embeddings are stored as plain
+float lists and rebuilt as float64 arrays.  Property and interaction
+model outputs are stored only when they are JSON-exact scalars
+(:func:`json_exact`); anything else is never persisted.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from repro.models.base import Detection
 
 #: Bumped whenever the on-disk layout changes incompatibly; a file with a
 #: different schema version is treated like a corrupt file (warn + rescan).
-SCHEMA_VERSION = 1
+#: Version 2 stores each frame's detections as one flat row
+#: (:func:`detections_to_row`); version 1 stored a record dict per detection.
+SCHEMA_VERSION = 2
 
 #: The value kinds one ``(video, model, version)`` bucket may hold.
 KIND_DETECTIONS = "detections"
@@ -114,36 +118,34 @@ def json_exact(value: Any) -> bool:
     return type(value) is not float or math.isfinite(value)
 
 
-def detection_to_record(detection: Detection) -> Dict[str, Any]:
-    """One detection as a JSON-safe record (full fidelity round trip)."""
-    return {
-        "class_name": detection.class_name,
-        "bbox": [detection.bbox.x1, detection.bbox.y1, detection.bbox.x2, detection.bbox.y2],
-        "score": detection.score,
-        "frame_id": detection.frame_id,
-        "gt_object_id": detection.gt_object_id,
-        "track_id": detection.track_id,
-    }
+#: Values one detection takes in a ``detections`` row, in this order:
+#: ``class_name, x1, y1, x2, y2, score, gt_object_id, track_id``.
+ROW_WIDTH = 8
 
 
-def detection_from_record(record: Dict[str, Any]) -> Detection:
-    x1, y1, x2, y2 = record["bbox"]
-    return Detection(
-        class_name=record["class_name"],
-        bbox=BBox(x1, y1, x2, y2),
-        score=record["score"],
-        frame_id=record["frame_id"],
-        gt_object_id=record.get("gt_object_id"),
-        track_id=record.get("track_id"),
-    )
+def detections_to_row(detections: Sequence[Detection]) -> List[Any]:
+    """A frame's detections as one flat row of atomic values.
+
+    The frame id is the entry's key, so the row omits it.  Every value is
+    a string, a number or None, so after a JSON load the row is the only
+    container the garbage collector tracks.
+    """
+    row: List[Any] = []
+    for det in detections:
+        b = det.bbox
+        row += (det.class_name, b.x1, b.y1, b.x2, b.y2, det.score, det.gt_object_id, det.track_id)
+    return row
 
 
-def detections_to_value(detections: Sequence[Detection]) -> List[Dict[str, Any]]:
-    return [detection_to_record(det) for det in detections]
-
-
-def detections_from_value(value: Sequence[Dict[str, Any]]) -> List[Detection]:
-    return [detection_from_record(record) for record in value]
+def detections_from_row(row: Sequence[Any], frame_id: int) -> List[Detection]:
+    """The detections :func:`detections_to_row` stored for ``frame_id``."""
+    values = iter(row)
+    return [
+        Detection(class_name, BBox(x1, y1, x2, y2), score, frame_id, gt_object_id, track_id)
+        for class_name, x1, y1, x2, y2, score, gt_object_id, track_id in zip(
+            *(values,) * ROW_WIDTH
+        )
+    ]
 
 
 def embedding_to_value(embedding: Any) -> List[float]:

@@ -271,14 +271,14 @@ class IndexView:
         status, value = self._lookup(schema.KIND_DETECTIONS, model_name, str(frame_id), frame_id)
         if status != _HIT:
             return None
-        return schema.detections_from_value(value)
+        return schema.detections_from_row(value, frame_id)
 
     def record_detections(self, model_name: str, frame_id: int, detections: List[Detection]) -> None:
         self._record(
             schema.KIND_DETECTIONS,
             model_name,
             str(frame_id),
-            schema.detections_to_value(detections),
+            schema.detections_to_row(detections),
             frame_id,
         )
 
@@ -291,7 +291,7 @@ class IndexView:
         status, value = self.store.lookup(
             self.video_key, schema.KIND_DETECTIONS, model_name, self._version(model_name), str(frame_id)
         )
-        return schema.detections_from_value(value) if status == _HIT else None
+        return schema.detections_from_row(value, frame_id) if status == _HIT else None
 
     # --------------------------------------------------------- tracker output --
     def _pair(self, tracker_name: str, detector_name: str) -> Tuple[str, str]:

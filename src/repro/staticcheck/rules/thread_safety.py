@@ -90,7 +90,7 @@ class _FunctionScanner(ast.NodeVisitor):
                 symbol=self.module.dotted,
                 message=(
                     f"mutates module-level {name!r} ({how}) without holding a lock — "
-                    "this state is reachable from the multi-camera thread pool"
+                    "user code may call the library from several threads, which share this state"
                 ),
                 fix_hint=(
                     "guard the mutation with a module-level threading.Lock() "
@@ -147,8 +147,8 @@ class ThreadSafetyRule(Rule):
     name = "thread-safety"
     id_prefix = "SC4"
     description = (
-        "module-level mutable state reachable from the thread-pool worker "
-        "path is lock-guarded; pools never receive lambdas"
+        "module-level mutable state, which every thread that calls the "
+        "library shares, is lock-guarded; pools never receive lambdas"
     )
 
     def check(self, target: AnalysisTarget, config: CheckConfig) -> List[Finding]:

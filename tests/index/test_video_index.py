@@ -37,9 +37,10 @@ from repro.frontend.query import Query
 from repro.index.schema import (
     KIND_PROPERTY,
     KIND_TRACK_IDS,
-    detection_from_record,
+    SCHEMA_VERSION,
     detection_key,
-    detection_to_record,
+    detections_from_row,
+    detections_to_row,
     interaction_key,
     model_version,
     video_key,
@@ -162,7 +163,7 @@ class TestVideoIndexStore:
     def test_corrupt_file_warns_and_starts_empty(self, tmp_path):
         path = str(tmp_path / "index.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{"schema_version": 1, "videos": [truncated')
+            fh.write(f'{{"schema_version": {SCHEMA_VERSION}, "videos": [truncated')
         with pytest.warns(UserWarning, match="unreadable"):
             store = VideoIndexStore(path)
         assert store.lookup("v", "detections", "yolox", "D@0", "0") == ("miss", None)
@@ -181,7 +182,7 @@ class TestVideoIndexStore:
             "stats": {"frames_scanned": 1},
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"schema_version": 1, "videos": {"v": bucket}}, fh)
+            json.dump({"schema_version": SCHEMA_VERSION, "videos": {"v": bucket}}, fh)
         store = VideoIndexStore(path)
         assert not recwarn.list
         assert store.lookup("v", "detections", "yolox", "D@0", "0") == ("hit", [])
@@ -192,6 +193,50 @@ class TestVideoIndexStore:
             json.dump({"schema_version": 999, "videos": {}}, fh)
         with pytest.warns(UserWarning, match="schema version"):
             VideoIndexStore(path)
+
+    def test_detection_rows_round_trip_exactly_through_a_file(self, tmp_path):
+        # The clip edge is an int coordinate, live boxes carry np.float64
+        # ones, and false positives and untracked detections carry None ids.
+        dets = [
+            Detection("car", BBox(0, 1004.25, 96.5, 1080), 0.9, frame_id=3, gt_object_id=4),
+            Detection("person", BBox(*np.array([1.1, 2.2, 3.3, 4.4])), np.float64(0.71), frame_id=3, track_id=2),
+            Detection("car", BBox(5.0, 6.0, 7.0, 8.0), 0.55, frame_id=3),
+        ]
+        path = str(tmp_path / "index.json")
+        store = VideoIndexStore(path)
+        store.record("v", "detections", "yolox", "D@0", "3", detections_to_row(dets))
+        store.save()
+        status, row = VideoIndexStore(path).lookup("v", "detections", "yolox", "D@0", "3")
+        assert status == "hit"
+        assert all(type(value) in (str, int, float, type(None)) for value in row)
+        loaded = detections_from_row(row, 3)
+        assert loaded == dets
+        assert type(loaded[0].bbox.x1) is int and type(loaded[0].bbox.y2) is int
+        assert [(d.gt_object_id, d.track_id) for d in loaded] == [(4, None), (None, 2), (None, None)]
+        assert detections_from_row([], 3) == []
+
+    def test_version_1_file_warns_is_rebuilt_and_saved_as_current_version(self, video, tmp_path):
+        path = str(tmp_path / "index.json")
+        record = {
+            "class_name": "car", "bbox": [1.0, 2.0, 3.0, 4.0], "score": 0.9,
+            "frame_id": 0, "gt_object_id": None, "track_id": None,
+        }
+        yolox = model_version(default_zoo().get("yolox"))
+        bucket = {"kinds": {"detections": {"yolox": {"version": yolox, "entries": {"0": [record]}}}}}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema_version": 1, "videos": {video_key(video): bucket}}, fh)
+        config = indexed_config(index_config=IndexConfig(path=path))
+        with pytest.warns(UserWarning, match="schema version 1"):
+            session = QuerySession(video, config=config)
+            session.execute(CarQuery())
+        # Nothing was read from the old file: every frame ran the detector.
+        assert detector_calls(session) == video.num_frames
+        with open(path, encoding="utf-8") as fh:
+            saved = json.load(fh)
+        assert saved["schema_version"] == SCHEMA_VERSION == 2
+        entries = saved["videos"][video_key(video)]["kinds"]["detections"]["yolox"]["entries"]
+        assert len(entries) == video.num_frames
+        assert all(all(not isinstance(v, (dict, list)) for v in row) for row in entries.values())
 
     def test_model_version_tracks_class_and_seed(self):
         zoo0, zoo5 = default_zoo(seed=0), default_zoo(seed=5)
@@ -211,7 +256,7 @@ class TestVideoIndexStore:
         coords = np.array([618.2134567891234, 2.5, 700.1, 90.0]) / 1.0
         det = Detection("car", BBox(*coords), 0.9, frame_id=7, gt_object_id=4)
         assert type(det.bbox.x1) is np.float64
-        loaded = detection_from_record(json.loads(json.dumps(detection_to_record(det))))
+        (loaded,) = detections_from_row(json.loads(json.dumps(detections_to_row([det]))), 7)
         assert type(loaded.bbox.x1) is float
         assert detection_key(loaded) == detection_key(det)
         assert interaction_key(loaded, det) == interaction_key(det, loaded)
