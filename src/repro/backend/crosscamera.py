@@ -42,6 +42,7 @@ from repro.backend.results import Event
 from repro.common.clock import SimClock
 from repro.common.config import ReidConfig
 from repro.common.errors import ExecutionError
+from repro.index.schema import KIND_EMBEDDING
 from repro.metrics.accuracy import PrecisionRecall
 from repro.models.base import Detection
 from repro.models.properties import FeatureVectorModel
@@ -640,17 +641,20 @@ def build_track_profiles(
         index = ctx.index
         remaining: List[Detection] = []
         for detection in misses:
-            vector = index.lookup_embedding(model.name, detection)
-            if vector is not None:
+            hit, vector = index.lookup(KIND_EMBEDDING, model.name, detection, detection.frame_id)
+            if hit:
                 embeddings[detection.track_id] = vector
             else:
                 remaining.append(detection)
         if remaining:
-            for detection, embedding in zip(
-                remaining, model.predict_batch(remaining, clock=clock)
+            # One batched call, so no single frame's fault layer applies.
+            with obs.tracer.span(
+                "model-invocation", clock=clock, model=model.name, kind=KIND_EMBEDDING, items=len(remaining)
             ):
+                vectors = model.predict_batch(remaining, clock=clock)
+            for detection, embedding in zip(remaining, vectors):
                 embeddings[detection.track_id] = embedding
-                index.record_embedding(model.name, detection, embedding)
+                index.record(KIND_EMBEDDING, model.name, detection, embedding, detection.frame_id)
     return [
         TrackProfile(
             camera=camera,

@@ -15,9 +15,14 @@ This module is where the paper's two object-level optimizations live:
 
 The :class:`ExecutionContext` also provides cross-query sharing of detector,
 tracker, and property-model results, which implements the paper's
-query-level computation reuse.  Reuse extends past model calls to whole
-operator pipelines and sinks: leaves of a batch whose plans are
-structurally identical (:meth:`~repro.backend.plan.QueryPlan.structural_key`)
+query-level computation reuse.  Every model output except the tracker's
+comes from one routine, :meth:`ExecutionContext.model_output`: it reads
+the frame's memo, then the persistent index, and only then invokes the
+model through the fault layer inside one ``model-invocation`` span, so
+VObj types that ask one model about one detection share one call, and a
+model that failed past retries on a frame is not invoked there again.
+Reuse extends past model calls to whole operator pipelines and sinks:
+leaves of a batch whose plans are structurally identical (:meth:`~repro.backend.plan.QueryPlan.structural_key`)
 run the pipeline once per frame, and the scan scheduler hands the frame's
 match records to the other leaves
 (:meth:`~repro.backend.streaming.PlanStream.reuse_frame`).
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.clock import SimClock
 from repro.common.errors import ExecutionError, TransientModelError
@@ -36,6 +41,7 @@ from repro.faults.resilience import NO_FAULTS
 from repro.frontend.properties import PropertySpec
 from repro.frontend.relation import Relation
 from repro.frontend.vobj import Scene, VObj
+from repro.index.schema import KIND_DETECTIONS, KIND_FILTER, KIND_INTERACTION, KIND_PROPERTY
 from repro.index.store import NO_INDEX
 from repro.models.base import Detection
 from repro.models.framefilters import evaluate_frame_filter
@@ -162,7 +168,9 @@ class VObjState:
             return self.track_state.intrinsic_values[spec.name]
 
         if spec.is_model_backed:
-            value = self._invoke_property_model(spec.model)
+            value = self.context.model_output(
+                KIND_PROPERTY, spec.model, self.frame, self.detection, _predict_property
+            )
         else:
             inputs = [self.get(dep) for dep in spec.inputs]
             self.context.charge_python(spec.name)
@@ -171,32 +179,6 @@ class VObjState:
         if reusable:
             self.track_state.intrinsic_values[spec.name] = value
             self.track_state.intrinsic_frames[spec.name] = self.frame.frame_id
-        return value
-
-    def _invoke_property_model(self, model_name: str) -> Any:
-        """The model's output on this detection: indexed, else computed live.
-
-        A live value is written through to the index after the invocation
-        succeeded.  A seeded frame's detection was synthesized by the stride
-        sampler, so its values are neither read from nor written to the
-        index.
-        """
-        context = self.context
-        frame = self.frame
-        detection = self.detection
-        indexed = frame.frame_id not in context.seeded_frames
-        if indexed:
-            hit, value = context.index.lookup_property(model_name, detection)
-            if hit:
-                return value
-        model = context.property_model(model_name)
-        value = context.faults.invoke(
-            model_name,
-            frame.frame_id,
-            lambda: model.predict(detection, frame, context.clock),
-        )
-        if indexed:
-            context.index.record_property(model_name, detection, value)
         return value
 
     def _resolve_stateful(self, spec: PropertySpec) -> Any:
@@ -214,12 +196,15 @@ class VObjState:
             histories.append(self.track_state.history(dep))
         self.context.charge_python(spec.name)
         if spec.is_model_backed:
-            model = self.context.property_model(spec.model)
+            # The input is a window of past values, not one content-keyed
+            # detection: no memo, no index, only the span and fault layer.
             args = histories[0] if len(histories) == 1 else histories
-            return self.context.faults.invoke(
+            return self.context.model_output(
+                KIND_PROPERTY,
                 spec.model,
-                self.frame.frame_id,
-                lambda: model.predict(args, clock=self.context.clock),
+                self.frame,
+                None,
+                lambda model, frame, key, clock: model.predict(args, clock=clock),
             )
         args = histories[0] if len(histories) == 1 else histories
         return spec.func(self, args) if len(histories) == 1 else spec.func(self, *histories)
@@ -341,6 +326,33 @@ class _Sentinel:
 
 _SENTINEL = _Sentinel()
 
+#: Kinds keyed by a detection's content, which a seeded frame synthesized.
+_DETECTION_KEYED = frozenset((KIND_PROPERTY, KIND_INTERACTION))
+
+#: A live model call for :meth:`ExecutionContext.model_output`:
+#: ``compute(model, frame, key, clock)``.  The callers pass module-level
+#: functions, so a memo or index hit builds no closure.
+Compute = Callable[[Any, Frame, Any, SimClock], Any]
+
+
+def _detect(model: Any, frame: Frame, key: int, clock: SimClock) -> List[Detection]:
+    return model.detect(frame, clock)
+
+
+def _evaluate_filter(model: Any, frame: Frame, key: int, clock: SimClock) -> bool:
+    return evaluate_frame_filter(model, frame, clock)
+
+
+def _predict_property(model: Any, frame: Frame, detection: Detection, clock: SimClock) -> Any:
+    return model.predict(detection, frame, clock)
+
+
+def _predict_interaction(
+    model: Any, frame: Frame, pair: Tuple[Detection, Detection], clock: SimClock
+) -> Tuple[str, ...]:
+    subject, object_ = pair
+    return tuple(p.kind for p in model.predict([subject], [object_], frame, clock))
+
 
 @dataclass
 class ReuseStats:
@@ -359,10 +371,12 @@ class ReuseStats:
 class ExecutionContext:
     """Shared execution state for one video (possibly across several queries).
 
-    Caches detector, tracker, property-model, and interaction-model results
-    per frame so that (a) two query variables backed by the same model pay
-    for it once, and (b) several queries executed against the same context
-    share all of that work — the paper's query-level computation reuse.
+    Memoises detector, frame-filter failure, property-model and
+    interaction-model outputs per frame (:meth:`model_output`) and tracker
+    output per (tracker, detector) pair, so that (a) two query variables or
+    VObj types backed by the same model pay for it once per input, and (b)
+    several queries executed against the same context share all of that
+    work — the paper's query-level computation reuse.
     """
 
     def __init__(
@@ -426,18 +440,16 @@ class ExecutionContext:
 
         # Per-frame caches are indexed by frame id first, so releasing a
         # frame pops one bucket in O(1) instead of rebuilding whole dicts.
-        self._detections: Dict[int, Dict[str, List[Detection]]] = {}
+        #: frame id -> {(model, content key) -> output, or the
+        #: TransientModelError it failed with past retries}: the memo of
+        #: :meth:`model_output`, which :meth:`seed_frame` also fills.
+        self._memo: Dict[int, Dict[Tuple[str, Any], Any]] = {}
         self._tracked: Dict[int, Dict[Tuple[str, str], List[Detection]]] = {}
         self._trackers: Dict[Tuple[str, str], Any] = {}
         self._models: Dict[str, Any] = {}
         self._track_states: Dict[Tuple[type, int], TrackState] = {}
         self._vobj_states: Dict[int, Dict[Tuple[type, Detection], VObjState]] = {}
-        self._interactions: Dict[int, Dict[Tuple[str, Detection, Detection], Tuple[str, ...]]] = {}
         self._scene_states: Dict[int, Dict[type, SceneState]] = {}
-        #: frame id -> {filter model -> the error it failed with past
-        #: retries}, so a re-run of the frame re-raises without invoking
-        #: the model again.
-        self._filter_failures: Dict[int, Dict[str, TransientModelError]] = {}
 
     # -- model access -----------------------------------------------------------
     def model(self, name: str) -> Any:
@@ -445,38 +457,17 @@ class ExecutionContext:
             self._models[name] = self.zoo.get(name, fresh=True)
         return self._models[name]
 
-    def property_model(self, name: str) -> Any:
-        return self.model(name)
-
     def frame_filter(self, model_name: str, frame: Frame) -> Tuple[bool, bool]:
         """One frame-filter verdict: ``(keep, served_from_index)``.
 
-        A persisted verdict replaces the invocation entirely.  Otherwise the
-        filter runs through the fault layer and its verdict is written
-        through to the index.  The scan gate and the in-pipeline
-        ``FrameFilterOp`` both call this, so gating never decides whether
-        a filter sees faults or the index.  A filter that failed past
-        retries on the frame fails again at once when the frame is re-run.
+        The scan gate and the in-pipeline ``FrameFilterOp`` both call this,
+        so gating never decides whether a filter sees faults or the index.
+        Verdicts are not memoised, so a verdict that made no live call was
+        an index hit.
         """
-        cached = self.index.lookup_filter_verdict(model_name, frame.frame_id)
-        if cached is not None:
-            return cached, True
-        if self._filter_failures:
-            failed = self._filter_failures.get(frame.frame_id)
-            if failed is not None and model_name in failed:
-                raise failed[model_name]
-        model = self.model(model_name)
-        try:
-            keep = self.faults.invoke(
-                model_name,
-                frame.frame_id,
-                lambda: evaluate_frame_filter(model, frame, self.clock),
-            )
-        except TransientModelError as exc:
-            self._filter_failures.setdefault(frame.frame_id, {})[model_name] = exc
-            raise
-        self.index.record_filter_verdict(model_name, frame.frame_id, keep)
-        return keep, False
+        hits = self.index.counters["hits"]
+        keep = self.model_output(KIND_FILTER, model_name, frame, frame.frame_id, _evaluate_filter)
+        return keep, self.index.counters["hits"] != hits
 
     def charge_python(self, prop_name: str) -> None:
         self.clock.charge(f"python:{prop_name}", PYTHON_PROPERTY_MS)
@@ -484,40 +475,81 @@ class ExecutionContext:
     def count_reuse(self, prop_name: str) -> None:
         self.reuse_stats.count(prop_name)
 
-    # -- shared per-frame computations ----------------------------------------------
+    # -- the one model-call path ----------------------------------------------------
+    def model_output(
+        self, kind: str, model_name: str, frame: Frame, key: Any, compute: Compute
+    ) -> Any:
+        """One model output on ``frame``, read through the memo and the index.
+
+        ``kind`` is the output's index kind (:mod:`repro.index.schema`) and
+        ``key`` its content key on the frame: the frame id for detections
+        and filter verdicts, the detection for a property, the (subject,
+        object) pair for an interaction.  In order:
+
+        1. the frame's memo, keyed by ``(model_name, key)``, returns the
+           stored value or re-raises the stored past-retries failure, so a
+           re-run of the frame never invokes a failed model again;
+        2. else the index serves the value;
+        3. else ``compute(model, frame, key, clock)`` runs through the fault
+           layer inside one ``model-invocation`` span;
+        4. the live value is written through to the index (the view keeps
+           only values it reads back exactly; a failed call records
+           nothing) and memoised.
+
+        On a seeded frame a property's or interaction's detections were
+        synthesized by the stride sampler, so their outputs neither read
+        nor write the index, and no detector output is written; a filter
+        verdict is read and written on any frame.  Filter verdicts are not
+        memoised: the gate memoises them per frame, and an ungated leaf
+        pays for its own filter.  ``key=None`` (a stateful property, whose
+        input is a window of past values) gets the span and the fault
+        layer only.  A hit allocates nothing but the memo entry's key.
+        """
+        frame_id = frame.frame_id
+        if key is None:
+            return self._invoke(kind, model_name, frame, key, compute)
+        memo = self._memo.get(frame_id)
+        if memo is None:
+            memo = self._memo[frame_id] = {}
+        entry = (model_name, key)
+        value = memo.get(entry, _SENTINEL)
+        if value is not _SENTINEL:
+            if isinstance(value, TransientModelError):
+                raise value
+            return value
+        seeded = frame_id in self.seeded_frames
+        if not (seeded and kind in _DETECTION_KEYED):
+            hit, value = self.index.lookup(kind, model_name, key, frame_id)
+            if hit:
+                if kind != KIND_FILTER:
+                    memo[entry] = value
+                return value
+        try:
+            value = self._invoke(kind, model_name, frame, key, compute)
+        except TransientModelError as exc:
+            memo[entry] = exc
+            raise
+        if kind == KIND_FILTER:
+            self.index.record(kind, model_name, key, value, frame_id)
+            return value
+        if not seeded:
+            self.index.record(kind, model_name, key, value, frame_id)
+        memo[entry] = value
+        return value
+
+    def _invoke(self, kind: str, model_name: str, frame: Frame, key: Any, compute: Compute) -> Any:
+        """``compute`` through the fault layer, inside one span."""
+        with self.obs.tracer.span(
+            "model-invocation", clock=self.clock, model=model_name, frame=frame.frame_id, kind=kind
+        ):
+            return self.faults.invoke(
+                model_name,
+                frame.frame_id,
+                lambda: compute(self.model(model_name), frame, key, self.clock),
+            )
+
     def detect(self, model_name: str, frame: Frame) -> List[Detection]:
-        per_frame = self._detections.setdefault(frame.frame_id, {})
-        if model_name not in per_frame:
-            index = self.index
-            cached = index.lookup_detections(model_name, frame.frame_id)
-            if cached is not None:
-                # Served from the persistent index: no model invocation,
-                # no clock charge — the whole point of indexing.
-                per_frame[model_name] = cached
-                return cached
-
-            def run() -> List[Detection]:
-                return self.faults.invoke(
-                    model_name,
-                    frame.frame_id,
-                    lambda: self.model(model_name).detect(frame, self.clock),
-                )
-
-            with self.obs.tracer.span(
-                "model-invocation",
-                clock=self.clock,
-                model=model_name,
-                frame=frame.frame_id,
-                kind="detector",
-            ):
-                per_frame[model_name] = run()
-            if frame.frame_id not in self.seeded_frames:
-                # Write-through as a side effect of scanning.  Seeded frames
-                # never reach here (their caches are pre-populated), but the
-                # guard keeps the provenance contract explicit: synthesized
-                # results must never be persisted as model outputs.
-                index.record_detections(model_name, frame.frame_id, per_frame[model_name])
-        return per_frame[model_name]
+        return self.model_output(KIND_DETECTIONS, model_name, frame, frame.frame_id, _detect)
 
     def _global_track_id(self, pair: Tuple[str, str], local_id: int) -> int:
         """Map a tracker-local track id to its batch-global identity.
@@ -658,32 +690,20 @@ class ExecutionContext:
         # which carry tracker-local ids — namespace them so seeded frames
         # agree with the global ids the tracked pipeline emits.
         seeded = self._namespace_tracks(tracker_key, detections)
-        per_frame = self._detections.setdefault(frame_id, {})
-        per_frame.setdefault(detector_name, seeded)
+        memo = self._memo.setdefault(frame_id, {})
+        entry = (detector_name, frame_id)
+        cached = memo.get(entry)
+        if cached is None or isinstance(cached, TransientModelError):
+            # A detector that failed on the frame left no result to keep.
+            memo[entry] = seeded
         tracked = self._tracked.setdefault(frame_id, {})
         tracked.setdefault(tracker_key, list(seeded))
         self.seeded_frames.add(frame_id)
 
     def interactions(self, model_name: str, subject: Detection, object_: Detection, frame: Frame) -> Tuple[str, ...]:
-        per_frame = self._interactions.setdefault(frame.frame_id, {})
-        key = (model_name, subject, object_)
-        if key not in per_frame:
-            # Like a property model's output: indexed by the pair's content,
-            # never read or written on a seeded frame.
-            indexed = frame.frame_id not in self.seeded_frames
-            kinds = self.index.lookup_interaction(model_name, subject, object_) if indexed else None
-            if kinds is None:
-                model = self.model(model_name)
-                preds = self.faults.invoke(
-                    model_name,
-                    frame.frame_id,
-                    lambda: model.predict([subject], [object_], frame, self.clock),
-                )
-                kinds = tuple(p.kind for p in preds)
-                if indexed:
-                    self.index.record_interaction(model_name, subject, object_, kinds)
-            per_frame[key] = kinds
-        return per_frame[key]
+        return self.model_output(
+            KIND_INTERACTION, model_name, frame, (subject, object_), _predict_interaction
+        )
 
     # -- cross-camera re-identification support ------------------------------------
     def track_sources(self) -> Dict[int, Detection]:
@@ -784,15 +804,13 @@ class ExecutionContext:
         "_track_id_map",
         "_next_global_track_id",
         "_track_cursor",
-        "_detections",
+        "_memo",
         "_tracked",
         "_trackers",
         "_models",
         "_track_states",
         "_vobj_states",
-        "_interactions",
         "_scene_states",
-        "_filter_failures",
     )
 
     def checkpoint_state(self) -> Dict[str, Any]:
@@ -817,10 +835,7 @@ class ExecutionContext:
     # -- housekeeping -------------------------------------------------------------------
     def release_frame(self, frame_id: int) -> None:
         """Drop the frame's caches in O(evicted entries), not O(cache size)."""
-        self._detections.pop(frame_id, None)
+        self._memo.pop(frame_id, None)
         self._tracked.pop(frame_id, None)
         self._vobj_states.pop(frame_id, None)
-        self._interactions.pop(frame_id, None)
         self._scene_states.pop(frame_id, None)
-        if self._filter_failures:
-            self._filter_failures.pop(frame_id, None)

@@ -14,10 +14,13 @@ writes its own pid-tagged temporary file and renames it into place.
 Sessions never touch the store directly during a scan; they go through an
 :class:`IndexView` bound to one ``(video, zoo, obs)`` triple, which owns
 the model-version resolution, the hit/miss/stale/written counters that
-``explain()`` reports, and the observability hooks.  Each value kind
-(:mod:`repro.index.schema`) has one ``lookup_*``/``record_*`` pair on the
-view.  A scan without the index goes through :data:`NO_INDEX`, whose
-lookups always miss.
+``explain()`` reports, and the observability hooks.  The engine reads and
+writes a model output through the view's one ``lookup``/``record`` pair,
+which dispatch to the value kind's codec methods
+(:mod:`repro.index.schema`); only tracker output, whose versions come from
+two models, keeps its own ``lookup_track_ids``/``record_track_ids``.  A
+scan without the index goes through :data:`NO_INDEX`, whose lookups always
+miss.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import warnings
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-import numpy as np
-
 from repro.index import schema
 from repro.models.base import Detection
 from repro.obs.core import DISABLED, Obs
@@ -41,6 +42,8 @@ _MISS = "miss"
 _STALE = "stale"
 #: Marks an entry the store does not hold (no stored value equals it).
 _ABSENT = object()
+#: The ``(hit, value)`` of every lookup that serves nothing.
+_MISSED = (False, None)
 
 
 class VideoIndexStore:
@@ -228,14 +231,16 @@ class IndexView:
         self.counters["hits"] += 1
         self.obs.decisions.record("index-hit", kind, model=model_name, frame_id=frame_id)
 
-    def _lookup(self, kind: str, model_name: str, entry_key: str, frame_id: Optional[int]) -> Tuple[str, Any]:
+    def _lookup(self, kind: str, model_name: str, entry_key: str, frame_id: int) -> Any:
+        """The stored value, or ``_ABSENT``; counts the outcome."""
         status, value = self.store.lookup(
             self.video_key, kind, model_name, self._version(model_name), entry_key
         )
         obs = self.obs
         if status == _HIT:
             self._count_hit(kind, model_name, frame_id)
-        elif status == _STALE:
+            return value
+        if status == _STALE:
             self.counters["stale"] += 1
             if (kind, model_name) not in self._stale_noted:
                 self._stale_noted.add((kind, model_name))
@@ -249,7 +254,7 @@ class IndexView:
         else:
             self.counters["misses"] += 1
             obs.decisions.record("index-miss", kind, model=model_name, frame_id=frame_id)
-        return status, value
+        return _ABSENT
 
     def _record(
         self,
@@ -257,7 +262,7 @@ class IndexView:
         model_name: str,
         entry_key: str,
         value: Any,
-        frame_id: Optional[int],
+        frame_id: int,
         version: Optional[str] = None,
     ) -> None:
         if version is None:
@@ -266,22 +271,80 @@ class IndexView:
         self.counters["written"] += 1
         self.obs.decisions.record("index-written", kind, model=model_name, frame_id=frame_id)
 
-    # ------------------------------------------------------------- detections --
-    def lookup_detections(self, model_name: str, frame_id: int) -> Optional[List[Detection]]:
-        status, value = self._lookup(schema.KIND_DETECTIONS, model_name, str(frame_id), frame_id)
-        if status != _HIT:
-            return None
-        return schema.detections_from_row(value, frame_id)
+    # ------------------------------------------------------------ model outputs --
+    def lookup(self, kind: str, model_name: str, key: Any, frame_id: int) -> Tuple[bool, Any]:
+        """``(hit, value)`` of one model output; a stored value may be None.
 
-    def record_detections(self, model_name: str, frame_id: int, detections: List[Detection]) -> None:
-        self._record(
-            schema.KIND_DETECTIONS,
-            model_name,
-            str(frame_id),
-            schema.detections_to_row(detections),
-            frame_id,
-        )
+        ``key`` is the output's content key on frame ``frame_id``: the frame
+        id for detections and filter verdicts, the detection for an
+        embedding or a property, the (subject, object) pair for an
+        interaction.  The kind's codec method is reached by attribute, so a
+        wrapper installed on the class sees every lookup.
+        """
+        return getattr(self, _CODECS[kind][0])(model_name, key, frame_id)
 
+    def record(self, kind: str, model_name: str, key: Any, value: Any, frame_id: int) -> None:
+        """Store one model output (keyed as in :meth:`lookup`).
+
+        A property or interaction value that is not JSON-exact
+        (:func:`schema.json_exact`) is not persisted, so every run computes
+        it live.
+        """
+        getattr(self, _CODECS[kind][1])(model_name, key, value, frame_id)
+
+    # Codecs: one lookup/record pair per kind, called as lookup/record are.
+    def lookup_detections(self, model_name: str, key: int, frame_id: int) -> Tuple[bool, Any]:
+        row = self._lookup(schema.KIND_DETECTIONS, model_name, str(frame_id), frame_id)
+        return _MISSED if row is _ABSENT else (True, schema.detections_from_row(row, frame_id))
+
+    def record_detections(
+        self, model_name: str, key: int, detections: List[Detection], frame_id: int
+    ) -> None:
+        row = schema.detections_to_row(detections)
+        self._record(schema.KIND_DETECTIONS, model_name, str(frame_id), row, frame_id)
+
+    def lookup_filter_verdict(self, model_name: str, key: int, frame_id: int) -> Tuple[bool, Any]:
+        verdict = self._lookup(schema.KIND_FILTER, model_name, str(frame_id), frame_id)
+        return _MISSED if verdict is _ABSENT else (True, bool(verdict))
+
+    def record_filter_verdict(self, model_name: str, key: int, verdict: bool, frame_id: int) -> None:
+        self._record(schema.KIND_FILTER, model_name, str(frame_id), bool(verdict), frame_id)
+
+    def lookup_embedding(self, model_name: str, detection: Detection, frame_id: int) -> Tuple[bool, Any]:
+        entry_key = schema.detection_key(detection)
+        value = self._lookup(schema.KIND_EMBEDDING, model_name, entry_key, frame_id)
+        return _MISSED if value is _ABSENT else (True, schema.embedding_from_value(value))
+
+    def record_embedding(
+        self, model_name: str, detection: Detection, embedding: Any, frame_id: int
+    ) -> None:
+        value = schema.embedding_to_value(embedding)
+        self._record(schema.KIND_EMBEDDING, model_name, schema.detection_key(detection), value, frame_id)
+
+    def lookup_property(self, model_name: str, detection: Detection, frame_id: int) -> Tuple[bool, Any]:
+        entry_key = schema.detection_key(detection)
+        value = self._lookup(schema.KIND_PROPERTY, model_name, entry_key, frame_id)
+        return _MISSED if value is _ABSENT else (True, value)
+
+    def record_property(self, model_name: str, detection: Detection, value: Any, frame_id: int) -> None:
+        if schema.json_exact(value):
+            self._record(schema.KIND_PROPERTY, model_name, schema.detection_key(detection), value, frame_id)
+
+    def lookup_interaction(
+        self, model_name: str, pair: Tuple[Detection, Detection], frame_id: int
+    ) -> Tuple[bool, Any]:
+        entry_key = schema.interaction_key(*pair)
+        kinds = self._lookup(schema.KIND_INTERACTION, model_name, entry_key, frame_id)
+        return _MISSED if kinds is _ABSENT else (True, tuple(kinds))
+
+    def record_interaction(
+        self, model_name: str, pair: Tuple[Detection, Detection], kinds: Tuple[Any, ...], frame_id: int
+    ) -> None:
+        if all(schema.json_exact(kind) for kind in kinds):
+            entry_key = schema.interaction_key(*pair)
+            self._record(schema.KIND_INTERACTION, model_name, entry_key, list(kinds), frame_id)
+
+    # --------------------------------------------------------- tracker output --
     def replay_detections(self, model_name: str, frame_id: int) -> Optional[List[Detection]]:
         """The frame's stored detections, read without counting a lookup.
 
@@ -293,7 +356,6 @@ class IndexView:
         )
         return schema.detections_from_row(value, frame_id) if status == _HIT else None
 
-    # --------------------------------------------------------- tracker output --
     def _pair(self, tracker_name: str, detector_name: str) -> Tuple[str, str]:
         return (
             schema.pair_name(tracker_name, detector_name),
@@ -333,81 +395,6 @@ class IndexView:
             version=version,
         )
 
-    # -------------------------------------------------------- filter verdicts --
-    def lookup_filter_verdict(self, model_name: str, frame_id: int) -> Optional[bool]:
-        status, value = self._lookup(schema.KIND_FILTER, model_name, str(frame_id), frame_id)
-        if status != _HIT:
-            return None
-        return bool(value)
-
-    def record_filter_verdict(self, model_name: str, frame_id: int, verdict: bool) -> None:
-        self._record(schema.KIND_FILTER, model_name, str(frame_id), bool(verdict), frame_id)
-
-    # -------------------------------------------------------------- embeddings --
-    def lookup_embedding(self, model_name: str, detection: Detection) -> Optional[np.ndarray]:
-        status, value = self._lookup(
-            schema.KIND_EMBEDDING, model_name, schema.detection_key(detection), detection.frame_id
-        )
-        if status != _HIT:
-            return None
-        return schema.embedding_from_value(value)
-
-    def record_embedding(self, model_name: str, detection: Detection, embedding: Any) -> None:
-        self._record(
-            schema.KIND_EMBEDDING,
-            model_name,
-            schema.detection_key(detection),
-            schema.embedding_to_value(embedding),
-            detection.frame_id,
-        )
-
-    # ------------------------------------------------- property model outputs --
-    def lookup_property(self, model_name: str, detection: Detection) -> Tuple[bool, Any]:
-        """``(hit, value)``: a stored value may itself be None."""
-        status, value = self._lookup(
-            schema.KIND_PROPERTY, model_name, schema.detection_key(detection), detection.frame_id
-        )
-        return status == _HIT, value
-
-    def record_property(self, model_name: str, detection: Detection, value: Any) -> None:
-        """Store the value if it is JSON-exact (:func:`schema.json_exact`).
-
-        Any other value is not persisted, so every run computes it live.
-        """
-        if schema.json_exact(value):
-            self._record(
-                schema.KIND_PROPERTY,
-                model_name,
-                schema.detection_key(detection),
-                value,
-                detection.frame_id,
-            )
-
-    # ---------------------------------------------- interaction model outputs --
-    def lookup_interaction(
-        self, model_name: str, subject: Detection, object_: Detection
-    ) -> Optional[Tuple[Any, ...]]:
-        status, value = self._lookup(
-            schema.KIND_INTERACTION,
-            model_name,
-            schema.interaction_key(subject, object_),
-            subject.frame_id,
-        )
-        return tuple(value) if status == _HIT else None
-
-    def record_interaction(
-        self, model_name: str, subject: Detection, object_: Detection, kinds: Tuple[Any, ...]
-    ) -> None:
-        """Store the pair's predicted kinds as a list if each is JSON-exact."""
-        if all(schema.json_exact(kind) for kind in kinds):
-            self._record(
-                schema.KIND_INTERACTION,
-                model_name,
-                schema.interaction_key(subject, object_),
-                list(kinds),
-                subject.frame_id,
-            )
-
     # ------------------------------------------------------------ finalization --
     def finalize(self, ctx: Any, observe_stability: bool = False) -> None:
         """Record the finished scan's per-video statistics.
@@ -430,6 +417,16 @@ class IndexView:
         return {"video": self.video_key, **self.counters}
 
 
+#: Kind -> the IndexView codec methods its lookup and record dispatch to.
+_CODECS = {
+    schema.KIND_DETECTIONS: ("lookup_detections", "record_detections"),
+    schema.KIND_FILTER: ("lookup_filter_verdict", "record_filter_verdict"),
+    schema.KIND_EMBEDDING: ("lookup_embedding", "record_embedding"),
+    schema.KIND_PROPERTY: ("lookup_property", "record_property"),
+    schema.KIND_INTERACTION: ("lookup_interaction", "record_interaction"),
+}
+
+
 class InertIndexView:
     """The index view of a scan without the index: nothing is persisted.
 
@@ -446,10 +443,10 @@ class InertIndexView:
         {"hits": 0, "misses": 0, "stale": 0, "written": 0}
     )
 
-    def lookup_detections(self, model_name: str, frame_id: int) -> None:
-        return None
+    def lookup(self, kind: str, model_name: str, key: Any, frame_id: int) -> Tuple[bool, Any]:
+        return _MISSED
 
-    def record_detections(self, model_name: str, frame_id: int, detections: List[Detection]) -> None:
+    def record(self, kind: str, model_name: str, key: Any, value: Any, frame_id: int) -> None:
         pass
 
     def lookup_track_ids(
@@ -459,32 +456,6 @@ class InertIndexView:
 
     def record_track_ids(
         self, tracker_name: str, detector_name: str, frame_id: int, tracked: List[Detection]
-    ) -> None:
-        pass
-
-    def lookup_filter_verdict(self, model_name: str, frame_id: int) -> None:
-        return None
-
-    def record_filter_verdict(self, model_name: str, frame_id: int, verdict: bool) -> None:
-        pass
-
-    def lookup_embedding(self, model_name: str, detection: Detection) -> None:
-        return None
-
-    def record_embedding(self, model_name: str, detection: Detection, embedding: Any) -> None:
-        pass
-
-    def lookup_property(self, model_name: str, detection: Detection) -> Tuple[bool, Any]:
-        return False, None
-
-    def record_property(self, model_name: str, detection: Detection, value: Any) -> None:
-        pass
-
-    def lookup_interaction(self, model_name: str, subject: Detection, object_: Detection) -> None:
-        return None
-
-    def record_interaction(
-        self, model_name: str, subject: Detection, object_: Detection, kinds: Tuple[Any, ...]
     ) -> None:
         pass
 

@@ -269,7 +269,25 @@ class TestDegradationAccounting:
         assert stats.frames_degraded == 300
         assert stats.model_failures == 300
         assert result.matched_frames == []
-        assert session.last_context._filter_failures == {}, "released frames keep no memo"
+        assert session.last_context._memo == {}, "released frames keep no memo"
+
+    @pytest.mark.parametrize("gating", [True, False])
+    def test_dead_property_model_fails_once_per_frame(self, gating):
+        """A property model that fails past retries on a detection fails
+        once: the frame's ``model-unavailable`` re-run meets the same
+        detection and re-raises the remembered failure."""
+        from repro.videosim.datasets import camera_clip
+
+        video = camera_clip("jackson", duration_s=20, seed=12)
+        cfg = ft_config(
+            FaultConfig(dead_models=(("color_detect", 0),)), enable_scan_gating=gating
+        )
+        session, result = run_single(video, cfg, RedCarQuery())
+        stats = session.last_context.scan_stats
+        assert stats.frames_degraded == 188
+        assert stats.model_failures == stats.frames_degraded
+        assert session.last_context.clock.calls.get("color_detect", 0) == 0
+        assert result.matched_frames == []
 
     def test_unknown_model_is_not_hidden_as_a_fault(self):
         """A misconfigured model name fails the query with fault tolerance

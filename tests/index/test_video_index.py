@@ -35,6 +35,7 @@ from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.properties import vobj_filter
 from repro.frontend.query import Query
 from repro.index.schema import (
+    KIND_INTERACTION,
     KIND_PROPERTY,
     KIND_TRACK_IDS,
     SCHEMA_VERSION,
@@ -270,13 +271,13 @@ class TestVideoIndexStore:
             for i in range(len(exact + inexact))
         ]
         for det, value in zip(dets, exact + inexact):
-            view.record_property("color_detect", det, value)
+            view.record(KIND_PROPERTY, "color_detect", det, value, det.frame_id)
         assert view.counters["written"] == len(exact)
         for det, value in zip(dets, exact):
-            hit, got = view.lookup_property("color_detect", det)
+            hit, got = view.lookup(KIND_PROPERTY, "color_detect", det, det.frame_id)
             assert hit and got == value and type(got) is type(value)
         for det in dets[len(exact):]:
-            assert view.lookup_property("color_detect", det) == (False, None)
+            assert view.lookup(KIND_PROPERTY, "color_detect", det, det.frame_id) == (False, None)
 
     def test_interaction_kinds_round_trip_as_a_tuple(self, video, tmp_path):
         path = str(tmp_path / "index.json")
@@ -284,13 +285,13 @@ class TestVideoIndexStore:
         subject = Detection("person", BBox(1.0, 2.0, 3.0, 4.0), 0.9, frame_id=7)
         object_ = Detection("car", BBox(5.0, 6.0, 7.0, 8.0), 0.8, frame_id=7)
         view = store.view(video, default_zoo())
-        assert view.lookup_interaction("upt", subject, object_) is None
-        view.record_interaction("upt", subject, object_, ("get_into",))
-        view.record_interaction("upt", object_, subject, ())
+        assert view.lookup(KIND_INTERACTION, "upt", (subject, object_), 7) == (False, None)
+        view.record(KIND_INTERACTION, "upt", (subject, object_), ("get_into",), 7)
+        view.record(KIND_INTERACTION, "upt", (object_, subject), (), 7)
         store.save()
         reloaded = VideoIndexStore(path).view(video, default_zoo())
-        assert reloaded.lookup_interaction("upt", subject, object_) == ("get_into",)
-        assert reloaded.lookup_interaction("upt", object_, subject) == ()
+        assert reloaded.lookup(KIND_INTERACTION, "upt", (subject, object_), 7) == (True, ("get_into",))
+        assert reloaded.lookup(KIND_INTERACTION, "upt", (object_, subject), 7) == (True, ())
 
 
 # ---------------------------------------------------------------------------
