@@ -8,7 +8,7 @@ and per-camera distractor traffic):
 1. reid accuracy — pairwise identity F1 of the cross-camera link against
    the videosim ground truth must stay at or above the **0.9 floor** (the
    CI guard and the acceptance bar);
-2. identity with re-id disabled — ``enable_cross_camera_reid=False`` (the
+2. identity with re-id disabled — ``reid=None`` (the
    default) must reproduce the unlinked PR-4 multi-camera merge
    byte-for-byte (the regression CI guards);
 3. wall-clock ordering — with mixed fps and start offsets,
@@ -29,13 +29,14 @@ from _scale import scaled
 from repro.backend.crosscamera import CrossCameraSequence, reid_identity_scores
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession
+from repro.common.config import ReidConfig
 from repro.frontend.builtin import Car
 from repro.frontend.query import Query
 from repro.frontend.registry import get_library_zoo
 from repro.videosim.multicam import CameraPlacement, handoff_scenario
 
 #: Re-id on: tracks link across feeds, events align on the wall clock.
-REID = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True)
+REID = PlannerConfig(profile_plans=False, reid=ReidConfig())
 #: The PR-4 multi-camera merge: feeds stay unlinked.
 DISABLED = PlannerConfig(profile_plans=False)
 
@@ -150,7 +151,7 @@ def test_reid_identity_f1(benchmark):
 
 
 def test_disabled_mode_is_baseline_identical(benchmark):
-    """enable_cross_camera_reid=False must reproduce the unlinked baseline.
+    """reid=None must reproduce the unlinked baseline.
 
     The baseline is each feed executed on its own plain ``QuerySession``
     (the pre-cross-camera semantics): comparing against an independent code

@@ -76,7 +76,7 @@ def test_recovery_overhead_under_chaos(benchmark):
         chaos = _run(
             duration,
             PlannerConfig(
-                profile_plans=False, enable_fault_tolerance=True, fault_config=CHAOS
+                profile_plans=False, faults=CHAOS
             ),
         )
         return clean, chaos
@@ -119,8 +119,7 @@ def test_checkpoint_resume_cheaper_than_rescan(benchmark):
             duration,
             PlannerConfig(
                 profile_plans=False,
-                enable_fault_tolerance=True,
-                fault_config=FaultConfig(
+                faults=FaultConfig(
                     seed=11,
                     crash_frames=(("chaos", crash_at),),
                     checkpoint_interval=interval,

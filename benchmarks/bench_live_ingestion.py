@@ -21,7 +21,7 @@ from _scale import scaled
 from repro.backend.live import LiveSession
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import QuerySession
-from repro.common.config import VideoSpec
+from repro.common.config import LiveConfig, ObsConfig, StrideConfig, VideoSpec
 from repro.frontend.builtin import Car
 from repro.frontend.query import Query
 from repro.videosim.entities import ObjectSpec
@@ -35,10 +35,7 @@ BUFFER_CAP = 64
 OVERLOAD_X = 10
 
 LIVE_OVERLOAD = PlannerConfig(
-    profile_plans=False,
-    enable_live=True,
-    enable_stride_sampling=True,
-    enable_tracing=True,
+    profile_plans=False, live=LiveConfig(), stride=StrideConfig(), obs=ObsConfig()
 )
 
 
@@ -77,10 +74,7 @@ def _live_run(video: SyntheticVideo, feed: LiveFeed, config: PlannerConfig):
 def test_overload_sheds_accuracy_before_frames(benchmark):
     duration = scaled(60.0, minimum=20.0)
     video = live_video(duration)
-    config = replace(
-        LIVE_OVERLOAD,
-        live_config=replace(LIVE_OVERLOAD.live_config, max_buffered_frames=BUFFER_CAP),
-    )
+    config = replace(LIVE_OVERLOAD, live=LiveConfig(max_buffered_frames=BUFFER_CAP))
 
     def run():
         feed = LiveFeed(video, fps=10 * OVERLOAD_X, seed=11)
@@ -136,7 +130,7 @@ def test_clean_replay_matches_batch(benchmark):
     def run():
         session = LiveSession(
             LiveFeed(video),
-            config=PlannerConfig(profile_plans=False, enable_live=True),
+            config=PlannerConfig(profile_plans=False, live=LiveConfig()),
         )
         stats = session.run([RedCarQuery()])
         return session, stats
@@ -177,12 +171,7 @@ def test_disconnect_recovery_keeps_standing_state(benchmark):
     video = live_video(duration)
     outage_start = duration * 1000.0 * 0.4
     outage_end = duration * 1000.0 * 0.55
-    config = replace(
-        PlannerConfig(profile_plans=False, enable_live=True),
-        live_config=replace(
-            PlannerConfig().live_config, stall_timeout_ms=300.0
-        ),
-    )
+    config = PlannerConfig(profile_plans=False, live=LiveConfig(stall_timeout_ms=300.0))
 
     def run():
         feed = LiveFeed(video, disconnects=[(outage_start, outage_end)])

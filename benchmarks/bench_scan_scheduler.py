@@ -25,7 +25,7 @@ from _scale import scaled
 
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
-from repro.common.config import VideoSpec
+from repro.common.config import ObsConfig, VideoSpec
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.query import Query
@@ -331,7 +331,7 @@ def test_tracing_artifact_and_overhead_gate(benchmark):
     Overhead gate: tracing **disabled** must stay within 3% wall-clock of
     the traced run's floor.  The traced run does strictly more work, so
     disabled-mode wall time exceeding ``traced * 1.03`` means obs machinery
-    leaked into the ``enable_tracing=False`` hot path — the regression this
+    leaked into the ``obs=None`` hot path — the regression this
     gate exists to catch.  Min-of-3 interleaved timings keep noise down.
     """
     duration = scaled(60.0, minimum=10.0)
@@ -346,9 +346,9 @@ def test_tracing_artifact_and_overhead_gate(benchmark):
     # gated query (base / no_frame_filters / specialized detector).
     batch = lambda: [_GatedRedCarQuery(), _PersonQuery()]
 
-    def run(enable_tracing):
+    def run(traced):
         multi = MultiCameraSession(
-            feeds, zoo=zoo, config=PlannerConfig(enable_tracing=enable_tracing)
+            feeds, zoo=zoo, config=PlannerConfig(obs=ObsConfig() if traced else None)
         )
         wall_start = time.perf_counter()
         merged = multi.execute_many(batch())
@@ -432,6 +432,6 @@ def test_tracing_artifact_and_overhead_gate(benchmark):
     # The gate: disabled-mode wall clock within 3% of the traced floor
     # (plus a 50ms absolute cushion for sub-second CI-scale runs).
     assert wall_plain <= wall_traced * 1.03 + 0.05, (
-        f"enable_tracing=False path regressed: {wall_plain:.3f}s vs "
+        f"obs=None path regressed: {wall_plain:.3f}s vs "
         f"{wall_traced:.3f}s traced ({overhead_pct:+.1f}%)"
     )

@@ -6,7 +6,7 @@ off (gating + early exit stay on in both configurations):
 1. stable-scene sampling — on a tracker-predictable workload the sampler
    must cut detector invocations at least 2x while leaving the event set
    (start/end/label of every event) unchanged;
-2. result identity with sampling off — ``enable_stride_sampling=False``
+2. result identity with sampling off — ``stride=None``
    must reproduce the PR-2 scheduler byte-for-byte (the regression CI
    guards);
 3. gate-aware planner selection — pricing a batch-shared hoisted frame
@@ -27,7 +27,7 @@ from _scale import scaled
 
 from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.session import QuerySession
-from repro.common.config import VideoSpec
+from repro.common.config import StrideConfig, VideoSpec
 from repro.frontend.builtin import Car, Person
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.properties import vobj_filter
@@ -38,9 +38,9 @@ from repro.videosim.trajectory import LinearTrajectory, StationaryTrajectory
 from repro.videosim.video import SyntheticVideo
 
 #: Sampling on: stride ramps 1 -> 8 while the tracker state is predictable.
-SAMPLING = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+SAMPLING = PlannerConfig(profile_plans=False, stride=StrideConfig())
 #: The PR-2 scheduler: every surviving frame pays full detector cost.
-STRIDE_ONE = PlannerConfig(profile_plans=False, enable_stride_sampling=False)
+STRIDE_ONE = PlannerConfig(profile_plans=False, stride=None)
 
 
 class _RedCarQuery(Query):
@@ -168,7 +168,7 @@ def test_stable_scene_detector_reduction(benchmark):
 
 
 def test_sampling_disabled_is_result_identical(benchmark):
-    """enable_stride_sampling=False must reproduce PR-2 results exactly.
+    """stride=None must reproduce PR-2 results exactly.
 
     The workload includes a phase change (a person track is born mid-clip)
     so the comparison also covers duration grouping and temporal pairing on

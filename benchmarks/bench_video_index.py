@@ -10,7 +10,7 @@ Two measurements, both CI gates:
    track ids, make 0 live model calls at all (property model outputs are
    served from the index too) and render the ground truth of no frame
    (frames the index answers are never decoded);
-2. disabled identity — with ``enable_video_index=False`` (the default)
+2. disabled identity — with ``index=None`` (the default)
    results must be byte-identical to an engine without the index, down
    to the virtual-clock cost breakdown.
 
@@ -19,12 +19,14 @@ with the raw counters; ``benchmarks/README.md`` explains the fields.
 """
 
 import json
+from dataclasses import replace
 
 from _bench_output import record_bench
 from _scale import scaled
 
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
+from repro.common.config import IndexConfig, ReidConfig
 from repro.faults.resilience import InertFaults
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
@@ -34,7 +36,7 @@ from repro.videosim.multicam import handoff_scenario
 from repro.videosim.video import SyntheticVideo
 
 #: Index on; profiling off so detector counts are exactly the scan's.
-INDEXED = PlannerConfig(profile_plans=False, enable_video_index=True)
+INDEXED = PlannerConfig(profile_plans=False, index=IndexConfig())
 #: The default engine: no index anywhere.
 PLAIN = PlannerConfig(profile_plans=False)
 
@@ -172,7 +174,7 @@ def test_warm_requery_skips_detectors(benchmark, monkeypatch):
     # CI gates: ≤5% of the cold detector invocations, no tracker run (the
     # config is stride-off), no live model call and no frame rendered,
     # identical answers and identical track ids.
-    assert not INDEXED.enable_stride_sampling
+    assert INDEXED.stride is None
     assert _property_calls(cold) > 0
     assert warm_calls <= 0.05 * cold_calls
     assert warm_tracker_calls == 0
@@ -188,8 +190,8 @@ def test_warm_multicamera_reid_skips_embeddings(benchmark):
     scenario = handoff_scenario(num_entities=3, seed=0)
     config = PlannerConfig(
         profile_plans=False,
-        enable_cross_camera_reid=True,
-        enable_video_index=True,
+        reid=ReidConfig(),
+        index=IndexConfig(),
     )
 
     session = MultiCameraSession(
@@ -236,12 +238,8 @@ def test_disabled_is_byte_identical(benchmark):
     plain = QuerySession(video, zoo=zoo, config=PLAIN)
     plain_results = plain.execute_many(batch())
 
-    # An index_config alone (the master knob still False) must change nothing.
-    from repro.common.config import IndexConfig
-
-    default_config = PlannerConfig(
-        profile_plans=False, index_config=IndexConfig(stats_min_frames=1)
-    )
+    # Dropping the index config (index=None) must change nothing.
+    default_config = replace(INDEXED, index=None)
 
     def run_default():
         session = QuerySession(video, zoo=zoo, config=default_config)

@@ -3,7 +3,7 @@
 The paper's amber-alert query (§4.2, §4.4) — a red car whose license plate
 ends in "45" — is not a question you ask of a recording once; it is a query
 that stands against a camera feed indefinitely, alerting the moment the
-vehicle is seen.  This demo runs it in live mode (`enable_live=True`):
+vehicle is seen.  This demo runs it in live mode (`live=LiveConfig()`):
 
 * Stage 1 registers two standing queries against a paced live feed with
   an alert-sink callback — the plate-specific alert and the broadcast
@@ -22,11 +22,10 @@ vehicle is seen.  This demo runs it in live mode (`enable_live=True`):
 Run with:  python examples/amber_alert.py
 """
 
-from dataclasses import replace
-
 from repro import LiveSession, MultiCameraSession, PlannerConfig
 from repro.backend.crosscamera import CrossCameraSequence
 from repro.backend.live import CallbackSink
+from repro.common.config import LiveConfig, ReidConfig, StrideConfig
 from repro.frontend import Query
 from repro.frontend.builtin import RedCar
 from repro.videosim import datasets
@@ -76,10 +75,7 @@ def on_alert(alert) -> None:
 def main() -> None:
     # ---- stage 1: standing queries, alerting as events close --------------
     video = datasets.camera_clip("jackson", duration_s=90, seed=11)
-    live_cfg = replace(
-        PlannerConfig(profile_plans=False, enable_live=True),
-        live_config=replace(PlannerConfig().live_config, stall_timeout_ms=500.0),
-    )
+    live_cfg = PlannerConfig(profile_plans=False, live=LiveConfig(stall_timeout_ms=500.0))
 
     print("standing queries against the live feed (with a 2 s outage):")
     feed = LiveFeed(video, disconnects=[(30_000.0, 32_000.0)])
@@ -100,9 +96,7 @@ def main() -> None:
     stressed = LiveFeed(
         video, fps=video.fps * 8, jitter_ms=5.0, reorder_rate=0.05, seed=11
     )
-    stress_config = PlannerConfig(
-        profile_plans=False, enable_live=True, enable_stride_sampling=True
-    )
+    stress_config = PlannerConfig(profile_plans=False, live=LiveConfig(), stride=StrideConfig())
     session = LiveSession(stressed, config=stress_config)
     stats = session.run([AmberAlertQuery(), RedCarSightingQuery()])
     print(
@@ -130,7 +124,7 @@ def main() -> None:
         background_vehicles_per_minute=5.0,
         seed=45,
     )
-    chase_config = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True)
+    chase_config = PlannerConfig(profile_plans=False, reid=ReidConfig())
     network = MultiCameraSession(
         scenario.videos, config=chase_config, start_offsets=scenario.start_offsets
     )

@@ -14,6 +14,7 @@ Run with:  python examples/cross_camera_chase.py
 
 from repro import MultiCameraSession, PlannerConfig
 from repro.backend.crosscamera import CrossCameraSequence
+from repro.common.config import ReidConfig
 from repro.frontend import Query
 from repro.frontend.builtin import Car
 from repro.videosim.multicam import CameraPlacement, handoff_scenario
@@ -48,7 +49,7 @@ def main() -> None:
         background_vehicles_per_minute=4.0,
         seed=12,
     )
-    config = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True)
+    config = PlannerConfig(profile_plans=False, reid=ReidConfig())
     session = MultiCameraSession(
         scenario.videos, config=config, start_offsets=scenario.start_offsets
     )

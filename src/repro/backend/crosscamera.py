@@ -26,9 +26,8 @@ wall-clock axis.  This module supplies both halves:
   scan); only the identity-aware wall-clock pairing happens here.
 
 Everything in this module is read-only over finished per-feed results: the
-disabled path (:class:`~repro.common.config.ReidConfig` ``enabled=False``,
-the default) leaves multi-camera execution byte-identical to the unlinked
-merge.
+unlinked path (``PlannerConfig.reid`` None, the default) leaves
+multi-camera execution byte-identical to the unlinked merge.
 """
 
 from __future__ import annotations
@@ -674,6 +673,6 @@ def require_links(links: Optional[CrossCameraLinks], what: str) -> CrossCameraLi
     if links is None:
         raise ExecutionError(
             f"{what} needs cross-camera re-identification: enable it with "
-            "PlannerConfig(enable_cross_camera_reid=True) and re-run the batch"
+            "PlannerConfig(reid=ReidConfig()) and re-run the batch"
         )
     return links

@@ -174,7 +174,7 @@ class Executor:
         results = [stream.finalize(video, ctx) for stream in streams]
         # Post-scan index finalization: observed per-video statistics
         # (stable fraction only when stride sampling actually measured it).
-        ctx.index.finalize(ctx, observe_stability=self.config.enable_stride_sampling)
+        ctx.index.finalize(ctx, observe_stability=self.config.stride is not None)
         if obs.enabled:
             self._attach_explain(results, scheduler, ctx, obs, candidate_reports or {})
         return results
@@ -195,11 +195,10 @@ class Executor:
         the next (each feed's scan owns its own, keyed by the feed name).  Batch execution and live sessions both build here.
         """
         ctx.obs = obs
-        if self.config.enable_fault_tolerance:
-            ctx.faults = FaultManager(self.config.fault_config, ctx.clock, feed=feed, obs=obs)
-        scheduler = ScanScheduler(
-            streams, ctx, early_exit=early_exit, stride=self.config.stride()
-        )
+        fault_cfg = self.config.faults
+        if fault_cfg is not None:
+            ctx.faults = FaultManager(fault_cfg, ctx.clock, feed=feed, obs=obs)
+        scheduler = ScanScheduler(streams, ctx, early_exit=early_exit, stride=self.config.stride)
         ctx.scan_stats = scheduler.stats
         ctx.faults.bind_stats(scheduler.stats)
         return scheduler
@@ -217,10 +216,10 @@ class Executor:
         died, and the multi-camera session isolates it instead.  Returns the
         scheduler that finished the scan (a restored copy after any resume).
         """
-        cfg = self.config.fault_config
+        fault_cfg = self.config.faults
         checkpointer = (
-            ScanCheckpointer(cfg.checkpoint_interval, cfg.max_resumes)
-            if self.config.enable_fault_tolerance and cfg.checkpoint_interval > 0
+            ScanCheckpointer(fault_cfg.checkpoint_interval, fault_cfg.max_resumes)
+            if fault_cfg is not None and fault_cfg.checkpoint_interval > 0
             else None
         )
         start = 0

@@ -42,9 +42,9 @@ bounded deques, the decision log is a ring buffer, and every
 ``prune_live()`` releases match/event history behind its own watermarks
 (safe because a standing query never finalizes from history).
 
-Everything here is gated behind ``PlannerConfig(enable_live=True)``; with
-the flag off this module is never imported by the batch path, which stays
-byte-identical.  The scan itself is built by the same
+Everything here is gated behind ``PlannerConfig(live=LiveConfig())``; the
+batch path never imports this module, so it stays byte-identical.  The
+scan itself is built by the same
 :meth:`~repro.backend.executor.Executor.build_scan` the batch path uses.
 """
 
@@ -188,8 +188,8 @@ class LiveSession:
     so a replay of a finite recording with no overload produces exactly the
     events a batch execution would.
 
-    Requires ``PlannerConfig(enable_live=True)``; the constructor refuses
-    to build otherwise so the flag stays the single opt-in switch.
+    Requires ``PlannerConfig(live=LiveConfig(...))``; the constructor refuses
+    to build without one, so the live config is the single opt-in switch.
     """
 
     def __init__(
@@ -200,12 +200,13 @@ class LiveSession:
         sinks: Optional[Sequence[Any]] = None,
     ) -> None:
         self.config = config or PlannerConfig()
-        if not self.config.enable_live:
+        live_cfg = self.config.live
+        if live_cfg is None:
             raise ExecutionError(
                 "live execution is opt-in: construct the session with "
-                "PlannerConfig(enable_live=True)"
+                "PlannerConfig(live=LiveConfig())"
             )
-        self.live: LiveConfig = self.config.live_config
+        self.live: LiveConfig = live_cfg
         self.feed = feed if isinstance(feed, LiveFeed) else LiveFeed(feed)
         self.video = self.feed.video
         self.zoo = zoo or get_library_zoo()
@@ -216,7 +217,7 @@ class LiveSession:
         #: Always-attached bounded queue; ``alerts()`` drains it.
         self.queue_sink = QueueSink(self.live.max_alert_queue)
         self.sinks: List[Any] = [self.queue_sink] + list(sinks or [])
-        #: Observability bundle of the run; None unless ``enable_tracing``.
+        #: Observability bundle of the run; None unless ``PlannerConfig.obs``.
         self.last_obs: Optional[Obs] = None
         self.last_context: Optional[ExecutionContext] = None
         self._scheduler: Optional[ScanScheduler] = None
@@ -258,7 +259,7 @@ class LiveSession:
         queries = list(queries)
         if not queries:
             raise ExecutionError("a live session needs at least one standing query")
-        obs = Obs.from_config(self.config.obs())
+        obs = Obs.from_config(self.config.obs)
         self.last_obs = obs if obs.enabled else None
         ctx = ExecutionContext(
             self.video, self.zoo, clock=self.clock, reuse_enabled=self.config.enable_reuse
@@ -541,7 +542,7 @@ class LiveSession:
     def explain(self) -> str:
         """EXPLAIN ANALYZE-style report of the run, with a live section.
 
-        Requires ``enable_tracing`` (the decision log feeds the report);
+        Requires ``PlannerConfig.obs`` (the decision log feeds the report);
         raises before :meth:`run`.
         """
         from repro.obs.explain import ExplainData, render_explain

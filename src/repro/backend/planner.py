@@ -21,6 +21,8 @@ and structurally identical queries skip re-profiling.
 
 from __future__ import annotations
 
+import functools
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +62,9 @@ class PlannerConfig:
 
     The defaults correspond to "VQPy with annotation" in the evaluation;
     experiments flip individual switches to reproduce the vanilla-VQPy and
-    ablation configurations.
+    ablation configurations.  Each optional backend subsystem is one nested
+    config: None (the default) means off, a config object means on with
+    that config's tuning (docs/configuration.md).
     """
 
     #: Predicate pull-up / lazy evaluation: interleave filters with projectors.
@@ -86,97 +90,74 @@ class PlannerConfig:
     #: Let bounded queries (``Query.bounded`` / ``Query.exists``) retire
     #: mid-scan and stop the scan once every stream's answer is determined.
     enable_early_exit: bool = True
-    #: Adaptive frame-stride sampling: raise the detection stride on streams
-    #: whose tracker state is stable and fill skipped frames by Kalman
-    #: interpolation (off = every surviving frame pays full detector cost).
-    enable_stride_sampling: bool = False
-    #: Upper bound on the adaptive detection stride (powers of two).
-    max_stride: int = 8
-    #: Minimum predicted-vs-detected IoU for a sampled frame to agree with
-    #: the tracker prediction (below it the skipped gap is re-scanned).
-    stride_iou_tol: float = 0.5
-    #: Consecutive predictable frames required before each stride doubling.
-    stride_stable_frames: int = 3
-    #: The cost model's prior for the fraction of a workload's frames that
-    #: are tracker-predictable (drives the expected sampling discount).
-    stride_stable_fraction: float = 0.5
-    #: Cross-camera re-identification: after a multi-camera execution, link
-    #: tracks across feeds by cosine-matching their (cached) re-id
-    #: embeddings, and thread global identity labels plus a wall-clock
-    #: timeline into the merged results (off = PR-4 behaviour, feeds stay
-    #: unlinked and merged events sort by frame id).
-    enable_cross_camera_reid: bool = False
-    #: Minimum cosine similarity for two tracks to share a global identity.
-    reid_threshold: float = 0.7
-    #: Gallery assignment strategy: "hungarian" (optimal) or "greedy".
-    reid_assignment: str = "hungarian"
-    #: Clock-skew tolerance between feeds: cross-camera gap windows widen by
-    #: this much and near-contiguous per-camera segments stitch together.
-    max_clock_skew_s: float = 0.5
-    #: Engine-wide observability (:mod:`repro.obs`): span tracing with dual
-    #: wall-clock/virtual timestamps, the decision log, and
-    #: ``QueryResult.explain()``.  Off = every hook goes to the shared
-    #: do-nothing bundle and results are byte-identical.
-    enable_tracing: bool = False
-    #: Bound on retained decision records when tracing is on (aggregate
-    #: counts stay exact past the bound).
-    obs_max_decision_records: int = 4096
-    #: Fault-tolerant execution (:mod:`repro.faults`): deterministic fault
-    #: injection, retried model invocations with clock-charged backoff,
-    #: per-model timeout budgets and circuit breakers, graceful frame
-    #: degradation, and scan checkpoint/resume.  Off = every scan shares the
-    #: inert fault layer, which just calls, and results are byte-identical.
-    enable_fault_tolerance: bool = False
-    #: Fault model + resilience tuning (rates, retries, breaker, checkpoint
-    #: interval); read only when the switch above is on.
-    fault_config: FaultConfig = FaultConfig()
-    #: Live push-driven ingestion (:mod:`repro.backend.live`): standing
-    #: queries over an unbounded paced feed, immediate alert emission,
-    #: bounded ingest queue with pressure-driven stride shedding, reorder
-    #: window, and watchdog-driven reconnection.  Off = batch execution
-    #: only; no live objects are created and results are byte-identical.
-    enable_live: bool = False
-    #: Live ingestion tuning (queue cap, pressure thresholds, reorder
-    #: window, watchdog/reconnect); read only by a live session.
-    live_config: LiveConfig = LiveConfig()
-    #: Persistent video index (:mod:`repro.index`): cache detector outputs,
-    #: frame-filter verdicts, tracker ids, re-id embeddings and property and
-    #: interaction model outputs per (video, model, model version) across
-    #: sessions, so a re-query over an already-indexed video
-    #: never re-invokes a model on an indexed frame.  Off = every execution
-    #: shares the inert index view, whose lookups miss, and execution is
-    #: byte-identical.
-    enable_video_index: bool = False
-    #: Index tuning (storage path, observed-statistics consumption); read
-    #: only when the switch above is on.
-    index_config: IndexConfig = IndexConfig()
+    #: Adaptive stride sampling with Kalman interpolation of skipped frames.
+    stride: Optional[StrideConfig] = None
+    #: Cross-camera re-identification and wall-clock global timelines.
+    reid: Optional[ReidConfig] = None
+    #: Span tracing, the decision log and ``QueryResult.explain()``.
+    obs: Optional[ObsConfig] = None
+    #: Fault injection, retries, circuit breakers, degradation, checkpoints.
+    faults: Optional[FaultConfig] = None
+    #: Live push-driven ingestion (:class:`~repro.backend.live.LiveSession`).
+    live: Optional[LiveConfig] = None
+    #: Persistent video index of model outputs, shared across sessions.
+    index: Optional[IndexConfig] = None
 
     def accuracy(self) -> AccuracyTarget:
         return AccuracyTarget(min_f1=self.accuracy_target)
 
-    def reid(self) -> "ReidConfig":
-        """The cross-camera re-identification knobs as a ReidConfig."""
-        return ReidConfig(
-            threshold=self.reid_threshold,
-            assignment=self.reid_assignment,
-            max_clock_skew_s=self.max_clock_skew_s,
-        )
 
-    def stride(self) -> "StrideConfig":
-        """The scan scheduler's stride-sampling knobs as a StrideConfig."""
-        return StrideConfig(
-            enabled=self.enable_stride_sampling,
-            max_stride=self.max_stride,
-            iou_tol=self.stride_iou_tol,
-            stable_frames=self.stride_stable_frames,
-        )
+#: The flat keywords ``PlannerConfig`` accepted before each subsystem became
+#: one nested config; still accepted, with a ``DeprecationWarning`` each.
+#: Legacy keyword -> (subsystem field, the config class a true switch
+#: builds, or None for a keyword that passed the config object itself).
+_LEGACY_KEYWORDS: Dict[str, Tuple[str, Optional[type]]] = {
+    "enable_stride_sampling": ("stride", StrideConfig),
+    "enable_cross_camera_reid": ("reid", ReidConfig),
+    "enable_fault_tolerance": ("faults", FaultConfig),
+    "fault_config": ("faults", None),
+    "enable_live": ("live", LiveConfig),
+    "enable_video_index": ("index", IndexConfig),
+    "index_config": ("index", None),
+}
 
-    def obs(self) -> "ObsConfig":
-        """The observability knobs as an ObsConfig."""
-        return ObsConfig(
-            enabled=self.enable_tracing,
-            max_decision_records=self.obs_max_decision_records,
+
+def _from_legacy_keywords(kwargs: Dict[str, Any]) -> Dict[str, Any]:
+    """``kwargs`` with its legacy keywords mapped onto the nested fields: a
+    true switch turns its subsystem on with the paired config object, or
+    with the defaults; a false switch or a lone paired config leaves it off."""
+    nested = {key: value for key, value in kwargs.items() if key not in _LEGACY_KEYWORDS}
+    paired = {
+        name: kwargs[key]
+        for key, (name, config_cls) in _LEGACY_KEYWORDS.items()
+        if config_cls is None and key in kwargs
+    }
+    for key, (name, config_cls) in _LEGACY_KEYWORDS.items():
+        if key not in kwargs:
+            continue
+        if name in kwargs:
+            raise TypeError(f"PlannerConfig got both {key}= and {name}=; pass only {name}=")
+        warnings.warn(
+            f"PlannerConfig({key}=...) is deprecated; pass {name}=... (None = off)",
+            DeprecationWarning,
+            stacklevel=3,
         )
+        if config_cls is not None and kwargs[key]:
+            nested[name] = paired.get(name) or config_cls()
+    return nested
+
+
+_dataclass_init = PlannerConfig.__init__
+
+
+@functools.wraps(_dataclass_init)
+def _planner_config_init(self: PlannerConfig, *args: Any, **kwargs: Any) -> None:
+    if not _LEGACY_KEYWORDS.keys().isdisjoint(kwargs):
+        kwargs = _from_legacy_keywords(kwargs)
+    _dataclass_init(self, *args, **kwargs)
+
+
+PlannerConfig.__init__ = _planner_config_init  # type: ignore[method-assign]
 
 
 class Planner:
@@ -192,7 +173,7 @@ class Planner:
         self.config = config or PlannerConfig()
         #: The session's persistent video index, when enabled: the cost
         #: model substitutes a video's *observed* tracker-stable fraction
-        #: for the configured ``stride_stable_fraction`` prior.
+        #: for the configured ``StrideConfig.stable_fraction`` prior.
         self._index_store = index_store
         #: query name -> CandidateReport list for the last planned batch
         #: (estimated/profiled costs and the chosen variant), consumed by
@@ -538,17 +519,17 @@ class Planner:
         stable fraction when the persistent index has one, the configured
         prior otherwise.
         """
-        cfg = self.config
-        if not cfg.enable_stride_sampling:
+        stride_cfg = self.config.stride
+        if stride_cfg is None:
             return 0.0
         if candidate.tracked_detector_pairs() is None:
             return 0.0
         detector_ms = sum(breakdown.get(name, 0.0) for name in candidate.detector_models())
-        fraction = cfg.stride_stable_fraction
+        fraction = stride_cfg.stable_fraction
         observed = self._observed_stable_fraction(video)
         if observed is not None:
             fraction = observed
-        saved_fraction = fraction * (1.0 - 1.0 / max(cfg.max_stride, 1))
+        saved_fraction = fraction * (1.0 - 1.0 / stride_cfg.max_stride)
         return detector_ms * saved_fraction
 
     def _observed_stable_fraction(self, video: Any) -> Optional[float]:
@@ -560,8 +541,8 @@ class Planner:
         """
         if video is None or self._index_store is None:
             return None
-        index_cfg = self.config.index_config
-        if not (self.config.enable_video_index and index_cfg.use_observed_stats):
+        index_cfg = self.config.index
+        if index_cfg is None or not index_cfg.use_observed_stats:
             return None
         from repro.index.schema import video_key
 
@@ -590,9 +571,7 @@ class Planner:
         # Fault injection is also disabled: candidate selection must be
         # driven by the plans' intrinsic costs, not by which canary frames a
         # fault schedule happened to hit.
-        profiling_config = replace(
-            self.config, enable_stride_sampling=False, enable_fault_tolerance=False
-        )
+        profiling_config = replace(self.config, stride=None, faults=None)
 
         def run(candidate: QueryPlan):
             ctx = ExecutionContext(canary, self.zoo, reuse_enabled=self.config.enable_reuse)

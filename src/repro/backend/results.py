@@ -84,7 +84,7 @@ class QueryResult:
     reuse_hits: int = 0
     plan_variant: str = "base"
     #: EXPLAIN ANALYZE payload attached by the executor when tracing is
-    #: enabled (``PlannerConfig.enable_tracing``).  Excluded from equality
+    #: enabled (``PlannerConfig.obs``).  Excluded from equality
     #: and repr so traced and untraced results compare byte-identical.
     obs: Optional["ExplainData"] = field(default=None, compare=False, repr=False)
 
@@ -95,7 +95,7 @@ class QueryResult:
         if self.obs is None:
             raise ValueError(
                 "no observability data on this result — execute with "
-                "PlannerConfig(enable_tracing=True) to populate explain()"
+                "PlannerConfig(obs=ObsConfig()) to populate explain()"
             )
         from repro.obs.explain import render_explain
 
@@ -141,7 +141,7 @@ class FeedFailure:
     """Structured status of one camera feed that died during an execution.
 
     Attached to :attr:`MultiCameraResult.feed_failures` when per-feed
-    isolation (``enable_fault_tolerance``) lets the surviving feeds finish;
+    isolation (``PlannerConfig.faults``) lets the surviving feeds finish;
     the failed feed simply has no entry in ``per_camera``.
     """
 
@@ -170,7 +170,7 @@ class MultiCameraResult:
     #: with :class:`~repro.common.errors.ExecutionError`).
     feed_failures: Dict[str, FeedFailure] = field(default_factory=dict)
     #: Cross-camera identity links (set by the session when
-    #: ``enable_cross_camera_reid`` is on; None otherwise).
+    #: ``PlannerConfig.reid`` is set; None otherwise).
     links: Optional["CrossCameraLinks"] = None
     #: The wall-clock timeline the feeds are aligned on (set alongside
     #: ``links``; None keeps the frame-ordered PR-4 merge semantics).
@@ -228,7 +228,7 @@ class MultiCameraResult:
         tagged.sort(key=lambda pair: (pair[1].start_frame, pair[1].end_frame, pair[0]))
         return tagged
 
-    # -- cross-camera views (require enable_cross_camera_reid) ----------------
+    # -- cross-camera views (require PlannerConfig.reid) -----------------------
     def global_tracks(self) -> Dict[int, List[Tuple[str, int]]]:
         """global identity -> this query's (camera, track_id) sightings.
 

@@ -338,7 +338,7 @@ class ScanScheduler:
         self.stats = ScanStats()
         self.gate = FrameGate(ctx, self.stats)
         self.stride_cfg: Optional[StrideConfig] = (
-            stride if stride is not None and stride.enabled and stride.max_stride > 1 else None
+            stride if stride is not None and stride.max_stride > 1 else None
         )
         self._active: List[QueryStream] = list(self.streams)
         self._active_leaves: List[PlanStream] = [

@@ -44,6 +44,7 @@ from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.results import FeedFailure, MultiCameraResult, QueryResult
 from repro.backend.runtime import ExecutionContext
 from repro.common.clock import SimClock
+from repro.common.config import ReidConfig
 from repro.common.errors import ExecutionError, FeedFailedError, PlanError
 from repro.frontend.higher_order import TemporalQuery
 from repro.frontend.query import Query
@@ -71,14 +72,12 @@ class QuerySession:
         #: The persistent video index shared by this session's executions.
         #: ``index_store`` lets several sessions (the feeds of a
         #: MultiCameraSession, or successive sessions over one corpus)
-        #: share a single store; otherwise an enabled config builds one
+        #: share a single store; otherwise an index config builds one
         #: from its path (None path = in-memory, process-lifetime).
-        if index_store is not None:
-            self.index_store: Optional[VideoIndexStore] = index_store
-        elif self.config.enable_video_index:
-            self.index_store = VideoIndexStore(self.config.index_config.path)
-        else:
-            self.index_store = None
+        index_cfg = self.config.index
+        if index_store is None and index_cfg is not None:
+            index_store = VideoIndexStore(index_cfg.path)
+        self.index_store: Optional[VideoIndexStore] = index_store
         self.planner = Planner(self.zoo, self.config, index_store=self.index_store)
         self.executor = Executor(self.config)
         #: The context of the most recent single-video execution.
@@ -87,7 +86,7 @@ class QuerySession:
         #: (exposes per-feed cost breakdowns); None after single-video runs.
         self.last_multi: Optional["MultiCameraSession"] = None
         #: Observability bundle (tracer and decision log) of the most
-        #: recent execution; None unless ``enable_tracing`` was on.
+        #: recent execution; None unless ``PlannerConfig.obs`` was set.
         self.last_obs: Optional[Obs] = None
 
     # -- planning ---------------------------------------------------------------
@@ -135,11 +134,11 @@ class QuerySession:
         ``obs`` makes the call one feed of a multi-camera batch: the feeds
         share that observability bundle, and the batch owns both the root
         span and the index save.  Standalone runs build their own bundle
-        when ``enable_tracing`` is on and save the index themselves.
+        when ``PlannerConfig.obs`` is set and save the index themselves.
         """
         own_obs = obs is None
         if own_obs:
-            obs = Obs.from_config(self.config.obs())
+            obs = Obs.from_config(self.config.obs)
         self.last_obs = obs if obs.enabled else None
         ctx = self._new_context(clock)
         if self.index_store is not None:
@@ -255,7 +254,7 @@ class MultiCameraSession:
     only add switching: the scans are Python computation, not I/O.
     ``max_workers`` is deprecated and ignored.
 
-    With ``enable_cross_camera_reid`` on (:class:`PlannerConfig`), every
+    With ``PlannerConfig.reid`` set (:class:`ReidConfig`), every
     execution additionally links the feeds' tracks into global identities
     (:meth:`link_tracks`) and aligns their events on a shared wall clock
     built from each feed's frame rate and ``start_offsets`` — unlocking
@@ -283,11 +282,8 @@ class MultiCameraSession:
         #: One persistent index shared by every feed, saved once per
         #: execution after the feeds have run; None when the video index is
         #: disabled.
-        self.index_store: Optional[VideoIndexStore] = (
-            VideoIndexStore(self.config.index_config.path)
-            if self.config.enable_video_index
-            else None
-        )
+        index_cfg = self.config.index
+        self.index_store = None if index_cfg is None else VideoIndexStore(index_cfg.path)
         self.sessions: Dict[str, QuerySession] = {
             name: QuerySession(
                 video, zoo=self.zoo, config=self.config, index_store=self.index_store
@@ -309,7 +305,7 @@ class MultiCameraSession:
         #: re-id-enabled run happens).
         self.last_links: Optional[CrossCameraLinks] = None
         #: Observability bundle shared by every feed of the most recent
-        #: execution; None unless ``enable_tracing`` was on.
+        #: execution; None unless ``PlannerConfig.obs`` was set.
         self.last_obs: Optional[Obs] = None
         #: Feed alias -> FeedFailure for feeds isolated in the most recent
         #: execution (fault tolerance only; empty when every feed survived).
@@ -320,11 +316,12 @@ class MultiCameraSession:
         return list(self.sessions)
 
     def timeline(self) -> GlobalTimeline:
-        """The shared wall-clock axis the feeds' events are aligned on."""
+        """The shared wall-clock axis the feeds' events are aligned on (with
+        re-id off, skewed by the :class:`ReidConfig` default)."""
         return GlobalTimeline(
             {name: session.video.fps for name, session in self.sessions.items()},
             self.start_offsets,
-            max_clock_skew_s=self.config.max_clock_skew_s,
+            max_clock_skew_s=(self.config.reid or ReidConfig()).max_clock_skew_s,
         )
 
     def execute(self, query: Query) -> MultiCameraResult:
@@ -340,8 +337,8 @@ class MultiCameraSession:
         wall-clock-ordered ``merged_events()``, ``global_events()``).
         """
         queries = list(queries)
-        reid_enabled = self.config.enable_cross_camera_reid
-        obs = Obs.from_config(self.config.obs())
+        reid_enabled = self.config.reid is not None
+        obs = Obs.from_config(self.config.obs)
         self.last_obs = obs if obs.enabled else None
         # The batch root is wall-clock only: there is no single virtual
         # clock spanning the feeds (each feed owns its own SimClock).
@@ -401,8 +398,9 @@ class MultiCameraSession:
         """
         if not failures:
             return {}
+        fault_cfg = self.config.faults
         isolate = (
-            self.config.enable_fault_tolerance
+            fault_cfg is not None
             and all(isinstance(exc, FeedFailedError) for exc in failures.values())
             and len(failures) < len(names)
         )
@@ -448,7 +446,8 @@ class MultiCameraSession:
             return self._link_tracks(obs)
 
     def _link_tracks(self, obs: Obs) -> CrossCameraLinks:
-        reid_cfg = self.config.reid()
+        # With re-id off, an explicit link_tracks() uses the defaults.
+        reid_cfg = self.config.reid or ReidConfig()
         model = self.zoo.get(reid_cfg.reid_model)
         profiles: Dict[str, List[TrackProfile]] = {}
         for name, session in self.sessions.items():
@@ -480,12 +479,12 @@ class MultiCameraSession:
         whole per-feed batch is still one adaptive scan); the resulting
         events are then paired across cameras on the wall clock, requiring
         a shared global identity unless the sequence disabled that.
-        Requires ``enable_cross_camera_reid``.
+        Requires ``PlannerConfig.reid``.
         """
-        if not self.config.enable_cross_camera_reid:
+        if self.config.reid is None:
             raise ExecutionError(
                 "execute_sequence needs cross-camera re-identification: enable it "
-                "with PlannerConfig(enable_cross_camera_reid=True)"
+                "with PlannerConfig(reid=ReidConfig())"
             )
         merged = self.execute_many(sequence.queries)
         first = merged[0]

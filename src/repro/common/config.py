@@ -37,16 +37,17 @@ class VideoSpec:
 class StrideConfig:
     """Adaptive frame-stride sampling knobs (scan scheduler).
 
-    When enabled, the scan scheduler raises a stream's detection stride
-    (1→2→4→… up to ``max_stride``) once its tracker state has been
-    Kalman-predictable for ``stable_frames`` consecutive sampled frames,
-    fills the skipped frames by track interpolation, and drops back to
-    stride 1 — re-scanning the skipped gap — the moment a sampled frame
-    disagrees with the prediction (track birth/death, or any track drifting
-    below ``iou_tol`` IoU against its predicted box).
+    With ``PlannerConfig(stride=StrideConfig())``, the scan scheduler raises
+    a stream's detection stride (1→2→4→… up to ``max_stride``) once its
+    tracker state has been Kalman-predictable for ``stable_frames``
+    consecutive sampled frames, fills the skipped frames by track
+    interpolation, and drops back to stride 1 — re-scanning the skipped
+    gap — the moment a sampled frame disagrees with the prediction (track
+    birth/death, or any track drifting below ``iou_tol`` IoU against its
+    predicted box).  Absent (the default): every surviving frame pays full
+    detector cost.
     """
 
-    enabled: bool = False
     #: Upper bound on the detection stride (strides double: 1, 2, 4, ...).
     max_stride: int = 8
     #: Minimum IoU between a track's predicted and detected box for the
@@ -54,6 +55,10 @@ class StrideConfig:
     iou_tol: float = 0.5
     #: Consecutive predictable sampled frames required before each doubling.
     stable_frames: int = 3
+    #: The planner cost model's prior for the fraction of a workload's
+    #: frames that are tracker-predictable (drives the expected sampling
+    #: discount).
+    stable_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_stride < 1:
@@ -62,20 +67,22 @@ class StrideConfig:
             raise ValueError("iou_tol must be in (0, 1]")
         if self.stable_frames < 1:
             raise ValueError("stable_frames must be >= 1")
+        if not 0.0 <= self.stable_fraction <= 1.0:
+            raise ValueError("stable_fraction must be a fraction in [0, 1]")
 
 
 @dataclass(frozen=True)
 class ReidConfig:
     """Cross-camera re-identification knobs (:mod:`repro.backend.crosscamera`).
 
-    With ``PlannerConfig(enable_cross_camera_reid=True)``,
+    With ``PlannerConfig(reid=ReidConfig())``,
     :class:`~repro.backend.session.MultiCameraSession` links the tracks of
     its feeds after each execution: every track's cached (or freshly
     computed) re-id embedding is cosine-matched against a gallery of global
     identities, camera by camera, and the resulting identity labels are
     threaded into the merged results (``global_tracks`` /
-    ``global_events`` / the cross-camera temporal operator).  Off by
-    default: the disabled path is byte-identical to the single-feed merge.
+    ``global_events`` / the cross-camera temporal operator).  Absent by
+    default: the unlinked path is byte-identical to the single-feed merge.
     """
 
     #: Minimum cosine similarity for a track to join an existing identity.
@@ -116,17 +123,18 @@ class ReidConfig:
 class ObsConfig:
     """Observability knobs (:mod:`repro.obs`).
 
-    When enabled, one :class:`~repro.obs.core.Obs` bundle (span tracer and
-    decision log) is threaded through the whole execution — session,
-    planner, scheduler, model invocations, re-id — and every :class:`~repro.backend.results.QueryResult` carries an
-    ``explain()`` payload.  Off by default: the engine then runs with the
-    shared disabled bundle (:data:`repro.obs.core.DISABLED`), whose sinks
-    discard everything, so each hook costs one no-op call.  Spans only
-    *snapshot* the virtual clock (never charge it), so results are
-    byte-identical with tracing on or off.
+    With ``PlannerConfig(obs=ObsConfig())``, one
+    :class:`~repro.obs.core.Obs` bundle (span tracer and decision log) is
+    threaded through the whole execution — session, planner, scheduler,
+    model invocations, re-id — and every
+    :class:`~repro.backend.results.QueryResult` carries an ``explain()``
+    payload.  Absent by default: the engine then runs with the shared
+    disabled bundle (:data:`repro.obs.core.DISABLED`), whose sinks discard
+    everything, so each hook costs one no-op call.  Spans only *snapshot*
+    the virtual clock (never charge it), so results are byte-identical with
+    tracing on or off.
     """
 
-    enabled: bool = False
     #: Oldest decision records are evicted past this bound; aggregate
     #: (action, reason) counts remain exact regardless.
     max_decision_records: int = 4096
@@ -144,14 +152,14 @@ class ObsConfig:
 class FaultConfig:
     """Fault-injection and fault-tolerance knobs (:mod:`repro.faults`).
 
-    With ``PlannerConfig(enable_fault_tolerance=True)``, a deterministic
+    With ``PlannerConfig(faults=FaultConfig(...))``, a deterministic
     :class:`~repro.faults.injection.FaultInjector` (seeded via
     :mod:`repro.common.rng`, keyed by (seed, feed, model, frame, attempt)
     so decisions are invocation-order independent) injects the configured
     fault mix, and every model invocation runs through the resilient
     invoker: bounded retries with exponential backoff + jitter charged to
     the ``SimClock``, per-model timeout budgets, and per-model circuit
-    breakers.  Off by default: every scan shares the inert
+    breakers.  Absent by default: every scan shares the inert
     :data:`~repro.faults.resilience.NO_FAULTS`, which just calls, so
     results are byte-identical.
     """
@@ -228,14 +236,15 @@ class FaultConfig:
 class LiveConfig:
     """Live push-driven ingestion knobs (:mod:`repro.backend.live`).
 
-    With ``PlannerConfig(enable_live=True)``, a
+    With ``PlannerConfig(live=LiveConfig())``, a
     :class:`~repro.backend.live.LiveSession` keeps standing
     queries registered against frames arriving from a paced source: events
     are emitted to alert sinks the moment they close, the ingest queue is
     hard-capped, and overload sheds *accuracy* before frames — queue-depth
     pressure drives the scan scheduler's stride coarser, and only past the
-    hard cap are frames dropped (with exact accounting).  Off by default:
-    batch execution never consults this config and is byte-identical.
+    hard cap are frames dropped (with exact accounting).  Absent by
+    default: a live session refuses to start, and batch execution never
+    consults this config.
     """
 
     #: Hard cap on frames buffered between admission and dispatch (the
@@ -306,7 +315,7 @@ class LiveConfig:
 class IndexConfig:
     """Persistent video index knobs (:mod:`repro.index`).
 
-    With ``PlannerConfig(enable_video_index=True)``, every execution
+    With ``PlannerConfig(index=IndexConfig())``, every execution
     consults a :class:`~repro.index.store.VideoIndexStore` before invoking
     a model on a frame and writes fresh results through as a side effect of
     scanning: detector outputs, frame-filter verdicts, tracker ids, re-id
@@ -315,7 +324,7 @@ class IndexConfig:
     session over the same video serves them from the index instead of
     re-running the model.  The index also records each video's observed tracker-stable
     fraction, which the planner's cost model uses in place of its
-    ``stride_stable_fraction`` prior.  Off by default: every execution
+    ``StrideConfig.stable_fraction`` prior.  Absent by default: every execution
     shares the inert :data:`~repro.index.store.NO_INDEX` view, whose
     lookups miss, so execution is byte-identical to an index-free run.
     """
@@ -324,7 +333,7 @@ class IndexConfig:
     #: (shared across executions within the process, never written to disk).
     path: Optional[str] = None
     #: Let the planner substitute the video's *observed* tracker-stable
-    #: fraction for the configured ``stride_stable_fraction`` prior.
+    #: fraction for the configured ``StrideConfig.stable_fraction`` prior.
     use_observed_stats: bool = True
     #: Minimum indexed frames before observed statistics are trusted (a
     #: short canary must not override the prior with a noisy measurement).

@@ -1,7 +1,7 @@
 """Deterministic fault injection and fault-tolerant execution.
 
 The fault layer has three parts, all behind
-``PlannerConfig(enable_fault_tolerance=True)``.  Off by default: every scan
+``PlannerConfig(faults=FaultConfig(...))``.  Absent by default: every scan
 then shares the inert :data:`~repro.faults.resilience.NO_FAULTS`, which
 runs each model once and injects nothing, so results are byte-identical.
 

@@ -9,8 +9,8 @@ statistics — keyed by
 ``(video, model, model version)``, so any later session over the same video
 serves them from the index instead of re-invoking the model.
 
-Enable with ``PlannerConfig(enable_video_index=True)`` (tune via
-:class:`~repro.common.config.IndexConfig`).  Off by default: every
+Enable with ``PlannerConfig(index=IndexConfig())`` (tuned by the
+:class:`~repro.common.config.IndexConfig` fields).  Absent by default: every
 execution then shares the inert :data:`~repro.index.store.NO_INDEX` view,
 whose lookups miss and whose records are dropped, so execution is
 byte-identical to an index-free run.

@@ -1,7 +1,7 @@
 """Engine-wide observability: span tracing, decisions, explain.
 
-Enable via ``PlannerConfig(enable_tracing=True)``.  When the knob is off
-the engine runs with the shared disabled bundle (``repro.obs.core.DISABLED``)
+Enable via ``PlannerConfig(obs=ObsConfig())``.  When ``obs`` is None the
+engine runs with the shared disabled bundle (``repro.obs.core.DISABLED``)
 whose sinks discard everything, and results are byte-identical.  See
 docs/observability.md.
 """

@@ -70,7 +70,7 @@ class PersonReidQuery(Query):
 
 
 def reid_config(**kw) -> PlannerConfig:
-    return PlannerConfig(profile_plans=False, enable_cross_camera_reid=True, **kw)
+    return PlannerConfig(profile_plans=False, reid=ReidConfig(), **kw)
 
 
 MIXED_FPS_CAMERAS = (
@@ -284,7 +284,7 @@ class TestCrossCameraSession:
         explicit = MultiCameraSession(
             scenario.videos,
             zoo=zoo,
-            config=PlannerConfig(profile_plans=False, enable_cross_camera_reid=False),
+            config=PlannerConfig(profile_plans=False, reid=None),
         )
         a = defaults.execute_many([CarQuery(), RedCarQuery()])
         b = explicit.execute_many([CarQuery(), RedCarQuery()])

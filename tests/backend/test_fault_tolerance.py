@@ -1,6 +1,6 @@
 """Chaos tests for the fault-tolerance layer.
 
-Covers the off-switch identity guarantee (``enable_fault_tolerance=False``
+Covers the off-switch identity guarantee (``PlannerConfig(faults=None)``
 is byte-identical to the seed behaviour), deterministic fault injection
 (same seed => same results, decision log, and retry counters, regardless
 of the feed order or stride sampling), graceful degradation accounting
@@ -21,7 +21,7 @@ from repro.backend.planner import PlannerConfig
 from repro.backend.results import Event, MatchRecord
 from repro.backend.session import MultiCameraSession, QuerySession
 from repro.common.clock import SimClock
-from repro.common.config import FaultConfig, VideoSpec
+from repro.common.config import FaultConfig, ObsConfig, StrideConfig, VideoSpec
 from repro.common.geometry import BBox
 from repro.common.errors import (
     CheckpointError,
@@ -93,11 +93,10 @@ def chaos_video(name: str = "chaos", duration_s: int = 20, seed: int = 3) -> Syn
     return SyntheticVideo(spec, cars, seed=seed)
 
 
-def ft_config(fault_config: FaultConfig, **kw) -> PlannerConfig:
+def ft_config(faults: FaultConfig, **kw) -> PlannerConfig:
     return PlannerConfig(
         profile_plans=False,
-        enable_fault_tolerance=True,
-        fault_config=fault_config,
+        faults=faults,
         **kw,
     )
 
@@ -127,22 +126,22 @@ def signature(session, result):
 
 class TestOffSwitch:
     def test_disabled_is_byte_identical(self):
-        """A populated FaultConfig is inert while the knob is off."""
+        """Dropping an armed FaultConfig (``faults=None``) restores the
+        fault-free run exactly."""
         base_sig = signature(*run_single(chaos_video(), PlannerConfig(profile_plans=False)))
         armed = PlannerConfig(
             profile_plans=False,
-            enable_fault_tolerance=False,
-            fault_config=FaultConfig(
+            faults=FaultConfig(
                 seed=11,
                 transient_rate=0.5,
                 corrupt_frame_rate=0.2,
                 drop_frame_rate=0.2,
-                dead_feeds=(("chaos", 10),),
                 crash_frames=(("chaos", 20),),
                 checkpoint_interval=5,
             ),
         )
-        assert signature(*run_single(chaos_video(), armed)) == base_sig
+        assert signature(*run_single(chaos_video(), armed)) != base_sig
+        assert signature(*run_single(chaos_video(), replace(armed, faults=None))) == base_sig
 
     def test_enabled_with_zero_rates_is_identical(self):
         """The resilience wrapper itself is cost- and result-neutral."""
@@ -152,7 +151,7 @@ class TestOffSwitch:
 
 class TestChaosDeterminism:
     def test_same_seed_same_everything(self):
-        cfg = ft_config(CHAOS, enable_tracing=True)
+        cfg = ft_config(CHAOS, obs=ObsConfig())
         s1, r1 = run_single(chaos_video(), cfg)
         s2, r2 = run_single(chaos_video(), cfg)
         assert signature(s1, r1) == signature(s2, r2)
@@ -181,7 +180,7 @@ class TestChaosDeterminism:
 
     @pytest.mark.parametrize("stride", [False, True])
     def test_stride_composes_deterministically(self, stride):
-        cfg = ft_config(CHAOS, enable_stride_sampling=stride)
+        cfg = ft_config(CHAOS, stride=StrideConfig() if stride else None)
         s1, r1 = run_single(chaos_video(), cfg)
         s2, r2 = run_single(chaos_video(), cfg)
         assert signature(s1, r1) == signature(s2, r2)
@@ -203,9 +202,10 @@ class TestDegradationAccounting:
         stride fills and fault fills share the scan, and the fault-free run
         samples with the same stride."""
         query = DurationQuery(RedCarQuery(), duration_s=1.0)
-        base_cfg = PlannerConfig(profile_plans=False, enable_stride_sampling=stride)
+        stride_cfg = StrideConfig() if stride else None
+        base_cfg = PlannerConfig(profile_plans=False, stride=stride_cfg)
         base_session, base = run_single(chaos_video(), base_cfg, query)
-        cfg = ft_config(CHAOS_WITH_OUTAGE, enable_tracing=True, enable_stride_sampling=stride)
+        cfg = ft_config(CHAOS_WITH_OUTAGE, obs=ObsConfig(), stride=stride_cfg)
         session, result = run_single(chaos_video(), cfg, query)
 
         assert result.num_frames_processed == chaos_video().num_frames
@@ -300,7 +300,7 @@ class TestDegradationAccounting:
             run_single(video, ft_config(FaultConfig(seed=1)), MisconfiguredQuery())
 
     def test_explain_reports_fault_counters(self):
-        cfg = ft_config(CHAOS_WITH_OUTAGE, enable_tracing=True)
+        cfg = ft_config(CHAOS_WITH_OUTAGE, obs=ObsConfig())
         _, result = run_single(chaos_video(), cfg)
         report = result.explain()
         assert "Fault tolerance:" in report
@@ -308,7 +308,7 @@ class TestDegradationAccounting:
         assert "frame-degraded" in report
 
     def test_fault_free_explain_omits_fault_section(self):
-        cfg = ft_config(FaultConfig(seed=CHAOS_SEED), enable_tracing=True)
+        cfg = ft_config(FaultConfig(seed=CHAOS_SEED), obs=ObsConfig())
         _, result = run_single(chaos_video(), cfg)
         assert "Fault tolerance:" not in result.explain()
 
@@ -319,13 +319,13 @@ class TestFeedIsolation:
         return {name: chaos_video(name) for name in ("cam-a", "cam-b", "cam-c")}
 
     def test_mid_scan_feed_death_is_isolated(self):
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=11,
             transient_rate=0.05,
             corrupt_frame_rate=0.01,
             dead_feeds=(("cam-b", 80),),
         )
-        multi = MultiCameraSession(self.feeds(), config=ft_config(fault_config))
+        multi = MultiCameraSession(self.feeds(), config=ft_config(faults))
         merged = multi.execute(RedCarQuery())
         assert set(merged.per_camera) == {"cam-a", "cam-c"}
         assert set(merged.feed_failures) == {"cam-b"}
@@ -335,16 +335,13 @@ class TestFeedIsolation:
         assert multi.last_feed_failures == merged.feed_failures
         # Survivors are unaffected by the sibling's death.
         for name in ("cam-a", "cam-c"):
-            solo = QuerySession(chaos_video(name), config=ft_config(fault_config)).execute(
+            solo = QuerySession(chaos_video(name), config=ft_config(faults)).execute(
                 RedCarQuery()
             )
             assert merged.camera(name).matched_frames == solo.matched_frames
 
     def test_feed_death_without_ft_aborts_the_batch(self):
-        cfg = PlannerConfig(
-            profile_plans=False,
-            enable_fault_tolerance=False,
-        )
+        cfg = PlannerConfig(profile_plans=False, faults=None)
         # Without the fault layer nothing injects the death; emulate a feed
         # blowing up to check the settle-then-abort contract instead.
         multi = MultiCameraSession(self.feeds(), config=cfg)
@@ -360,10 +357,10 @@ class TestFeedIsolation:
         assert set(excinfo.value.partial_results) == {"cam-a", "cam-c"}
 
     def test_all_feeds_dead_aborts_even_with_ft(self):
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=11, dead_feeds=(("cam-a", 10), ("cam-b", 10), ("cam-c", 10))
         )
-        multi = MultiCameraSession(self.feeds(), config=ft_config(fault_config))
+        multi = MultiCameraSession(self.feeds(), config=ft_config(faults))
         with pytest.raises(ExecutionError):
             multi.execute(RedCarQuery())
 
@@ -371,10 +368,10 @@ class TestFeedIsolation:
 class TestCheckpointResume:
     def test_crash_resumes_from_checkpoint_and_matches_baseline(self):
         base_session, base = run_single(chaos_video(), PlannerConfig(profile_plans=False))
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=11, crash_frames=(("chaos", 120),), checkpoint_interval=50
         )
-        session, result = run_single(chaos_video(), ft_config(fault_config))
+        session, result = run_single(chaos_video(), ft_config(faults))
         assert result.matched_frames == base.matched_frames
         assert result.matches == base.matches
         stats = session.last_context.scan_stats
@@ -391,14 +388,14 @@ class TestCheckpointResume:
         assert dict(clock.by_account) == dict(base_clock.by_account)
 
     def test_crash_resume_is_deterministic(self):
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=11,
             transient_rate=0.05,
             crash_frames=(("chaos", 120),),
             checkpoint_interval=50,
         )
-        sig1 = signature(*run_single(chaos_video(), ft_config(fault_config)))
-        sig2 = signature(*run_single(chaos_video(), ft_config(fault_config)))
+        sig1 = signature(*run_single(chaos_video(), ft_config(faults)))
+        sig2 = signature(*run_single(chaos_video(), ft_config(faults)))
         assert sig1 == sig2
 
     def test_repeated_resumes_from_one_checkpoint_are_all_counted(self):
@@ -406,16 +403,16 @@ class TestCheckpointResume:
         # restores the same snapshot as the first.  Restoring must neither
         # forget the first resume nor leak state into the reused snapshot.
         base_session, base = run_single(
-            chaos_video(), PlannerConfig(profile_plans=False, enable_tracing=True)
+            chaos_video(), PlannerConfig(profile_plans=False, obs=ObsConfig())
         )
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=CHAOS_SEED,
             crash_frames=(("chaos", 120), ("chaos", 130)),
             checkpoint_interval=50,
             max_resumes=2,
         )
         session, result = run_single(
-            chaos_video(), ft_config(fault_config, enable_tracing=True)
+            chaos_video(), ft_config(faults, obs=ObsConfig())
         )
         assert session.last_context.scan_stats.scan_resumes == 2
         assert session.last_obs.decisions.count("scan-resumed") == 2
@@ -436,10 +433,10 @@ class TestCheckpointResume:
         # A restore rolls ScanStats back to the snapshot, so the snapshot
         # must already count the checkpoint it was taken for.
         def run(**crash):
-            fault_config = FaultConfig(
+            faults = FaultConfig(
                 seed=CHAOS_SEED, checkpoint_interval=50, max_resumes=2, **crash
             )
-            session, _ = run_single(chaos_video(), ft_config(fault_config, enable_tracing=True))
+            session, _ = run_single(chaos_video(), ft_config(faults, obs=ObsConfig()))
             return session
 
         clean = run()
@@ -450,9 +447,9 @@ class TestCheckpointResume:
         assert stats.checkpoints_taken == crashed.last_obs.decisions.count("checkpoint-taken")
 
     def test_crash_without_checkpointing_aborts(self):
-        fault_config = FaultConfig(seed=CHAOS_SEED, crash_frames=(("chaos", 120),))
+        faults = FaultConfig(seed=CHAOS_SEED, crash_frames=(("chaos", 120),))
         with pytest.raises(ExecutionError, match="injected scan crash"):
-            run_single(chaos_video(), ft_config(fault_config))
+            run_single(chaos_video(), ft_config(faults))
 
     def test_checkpointer_rejects_invalid_interval(self):
         from repro.faults import ScanCheckpointer
@@ -492,9 +489,9 @@ class TestSnapshotSharing:
             captured.append((self, scheduler))
 
         monkeypatch.setattr(ScanCheckpointer, "capture", spy)
-        fault_config = replace(CHAOS, checkpoint_interval=50)
+        faults = replace(CHAOS, checkpoint_interval=50)
         query = DurationQuery(RedCarQuery(), duration_s=1.0)
-        session, result = run_single(chaos_video(), ft_config(fault_config), query)
+        session, result = run_single(chaos_video(), ft_config(faults), query)
         assert len(captured) >= 2 and result.matched_frames
         checkpointer, live = captured[-1]
         payload = checkpointer._checkpoint.payload
@@ -580,8 +577,8 @@ class TestResilienceUnits:
             manager.invoke("yolox", 1, lambda: None)
 
     def test_dead_model_degrades_frames_but_scan_completes(self):
-        fault_config = FaultConfig(seed=CHAOS_SEED, dead_models=(("yolox", 100),))
-        session, result = run_single(chaos_video(), ft_config(fault_config))
+        faults = FaultConfig(seed=CHAOS_SEED, dead_models=(("yolox", 100),))
+        session, result = run_single(chaos_video(), ft_config(faults))
         assert result.num_frames_processed == chaos_video().num_frames
         stats = session.last_context.scan_stats
         assert stats.circuit_opens >= 1

@@ -7,7 +7,7 @@ from repro.backend.planner import PlannerConfig
 from repro.backend.runtime import ExecutionContext, TrackState, VObjState
 from repro.backend.session import QuerySession
 from repro.common.clock import SimClock
-from repro.common.config import FaultConfig
+from repro.common.config import FaultConfig, ObsConfig, StrideConfig
 from repro.common.errors import ExecutionError
 from repro.frontend.builtin import Ball, Car, CloseTo, Person, PersonBallInteraction
 from repro.frontend.query import Query
@@ -368,7 +368,7 @@ class TestTrackedBranchNodes:
         assert all(det.track_id is not None for _type, det, _frame in states)
 
     def test_stride_filled_frames_bind_track_ids(self, jackson_clip, zoo):
-        config = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        config = PlannerConfig(profile_plans=False, stride=StrideConfig())
         session = QuerySession(jackson_clip, zoo=zoo, config=config)
         result = session.execute(CarTrackQuery())
         filled = session.last_context.seeded_frames & set(result.matches)
@@ -379,9 +379,8 @@ class TestTrackedBranchNodes:
     def test_model_unavailable_frames_bind_track_ids(self, jackson_clip, zoo):
         config = PlannerConfig(
             profile_plans=False,
-            enable_tracing=True,
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(seed=1, dead_models=(("yolox", 100),)),
+            obs=ObsConfig(),
+            faults=FaultConfig(seed=1, dead_models=(("yolox", 100),)),
         )
         session = QuerySession(jackson_clip, zoo=zoo, config=config)
         result = session.execute(CarTrackQuery())
@@ -406,7 +405,7 @@ class TestTrackedBranchNodes:
                 return (self.person.score > 0.5) & (self.person.speed < 50.0)
 
         video = camera_clip("jackson", duration_s=20, seed=12)
-        config = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        config = PlannerConfig(profile_plans=False, stride=StrideConfig())
         session = QuerySession(video, zoo=zoo, config=config)
         queries = [CarTrackQuery(), PersonTrackQuery(NorfairPerson), MovingPersonQuery()]
         results = session.execute_many(queries)

@@ -21,7 +21,7 @@ from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.runtime import ExecutionContext
 from repro.backend.session import QuerySession
 from repro.backend.streaming import PlanStream
-from repro.common.config import FaultConfig, VideoSpec
+from repro.common.config import FaultConfig, ObsConfig, StrideConfig, VideoSpec
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.properties import stateless
@@ -178,19 +178,19 @@ def batches(draw):
 def configs(draw) -> PlannerConfig:
     gating = draw(st.booleans())
     fault = draw(st.sampled_from(["none", "transient", "outage", "crash"]))
-    fault_config = FaultConfig()
+    faults = None
     if fault == "transient":
-        fault_config = FaultConfig(seed=11, transient_rate=0.1, corrupt_frame_rate=0.05)
+        faults = FaultConfig(seed=11, transient_rate=0.1, corrupt_frame_rate=0.05)
     elif fault == "outage":
         # The colour model dies mid-clip: pipelines fault after detection
         # and tracking already ran, and each leaf degrades on its own.
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=7,
             transient_rate=0.05,
             dead_models=(("color_detect", draw(st.integers(10, 40))),),
         )
     elif fault == "crash":
-        fault_config = FaultConfig(
+        faults = FaultConfig(
             seed=23,
             transient_rate=0.05,
             corrupt_frame_rate=0.03,
@@ -201,9 +201,8 @@ def configs(draw) -> PlannerConfig:
         profile_plans=False,
         enable_scan_gating=gating,
         enable_early_exit=draw(st.booleans()),
-        enable_stride_sampling=draw(st.booleans()),
-        enable_fault_tolerance=fault != "none",
-        fault_config=fault_config,
+        stride=StrideConfig() if draw(st.booleans()) else None,
+        faults=faults,
     )
 
 
@@ -269,9 +268,8 @@ class TestFilledFrameFaults:
         frame for the leaf (labelled degraded) instead of aborting the scan."""
         config = PlannerConfig(
             profile_plans=False,
-            enable_stride_sampling=True,
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(seed=7, dead_models=(("color_detect", 10),)),
+            stride=StrideConfig(),
+            faults=FaultConfig(seed=7, dead_models=(("color_detect", 10),)),
         )
         session = QuerySession(VIDEO, config=config)
         result = session.execute(RedCarQuery())
@@ -362,7 +360,7 @@ class TestShareGroups:
         assert not twin.result.matches
 
     def test_leaf_shared_decision(self):
-        config = PlannerConfig(profile_plans=False, enable_tracing=True)
+        config = PlannerConfig(profile_plans=False, obs=ObsConfig())
         session = QuerySession(VIDEO, config=config)
         session.execute_many(
             [RedCarQuery(), PersonQuery(), SequentialQuery(RedCarQuery(), PersonQuery())]

@@ -1,6 +1,6 @@
 """Tests for live unbounded ingestion: standing queries, backpressure, recovery.
 
-Covers the ``enable_live`` opt-in switch (off = batch path untouched), the
+Covers the ``PlannerConfig.live`` opt-in (off = batch path untouched), the
 replay-equality guarantee (a finite recording pushed through a
 :class:`LiveSession` with no overload yields the batch path's event set),
 exact shed/late-drop accounting under overload, accuracy-first degradation
@@ -13,7 +13,6 @@ on :class:`~repro.backend.scheduler.ScanScheduler`.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -23,7 +22,7 @@ from repro.backend.runtime import ExecutionContext
 from repro.backend.scheduler import ScanScheduler
 from repro.backend.session import QuerySession
 from repro.common.clock import SimClock
-from repro.common.config import LiveConfig, VideoSpec
+from repro.common.config import LiveConfig, ObsConfig, StrideConfig, VideoSpec
 from repro.common.errors import ExecutionError, FeedFailedError
 from repro.frontend.builtin import Car, Person
 from repro.frontend.higher_order import DurationQuery
@@ -62,16 +61,11 @@ class PersonQuery(Query):
         return (self.person.track_id,)
 
 
-def live_config(**live_kw) -> PlannerConfig:
-    """A PlannerConfig with enable_live=True and LiveConfig overrides."""
-    planner_kw = {}
-    for key in ("enable_stride_sampling", "enable_tracing", "enable_fault_tolerance"):
-        if key in live_kw:
-            planner_kw[key] = live_kw.pop(key)
-    config = PlannerConfig(profile_plans=False, enable_live=True, **planner_kw)
-    if live_kw:
-        config = replace(config, live_config=replace(config.live_config, **live_kw))
-    return config
+def live_session_config(**live_kw) -> PlannerConfig:
+    """A PlannerConfig with ``live=LiveConfig(**live_kw)``; the ``stride``,
+    ``obs`` and ``faults`` keywords go to the PlannerConfig itself."""
+    planner_kw = {key: live_kw.pop(key) for key in ("stride", "obs", "faults") if key in live_kw}
+    return PlannerConfig(profile_plans=False, live=LiveConfig(**live_kw), **planner_kw)
 
 
 @pytest.fixture(scope="module")
@@ -122,18 +116,18 @@ def batch_event_set(video, zoo, queries):
 
 
 class TestOptIn:
-    def test_live_session_requires_enable_live(self, red_car_video, zoo):
-        with pytest.raises(ExecutionError, match="enable_live"):
+    def test_live_session_requires_a_live_config(self, red_car_video, zoo):
+        with pytest.raises(ExecutionError, match=r"live=LiveConfig\(\)"):
             LiveSession(
                 LiveFeed(red_car_video), zoo=zoo,
-                config=PlannerConfig(profile_plans=False, enable_live=False),
+                config=PlannerConfig(profile_plans=False, live=None),
             )
 
-    def test_enable_live_flag_does_not_perturb_batch_results(self, red_car_video, zoo):
-        """enable_live only gates LiveSession; batch execution is untouched."""
+    def test_live_config_does_not_perturb_batch_results(self, red_car_video, zoo):
+        """A live config only gates LiveSession; batch execution is untouched."""
         batch = lambda: [RedCarQuery(), DurationQuery(RedCarQuery(), duration_s=1.0)]
-        off = PlannerConfig(profile_plans=False, enable_live=False)
-        on = PlannerConfig(profile_plans=False, enable_live=True)
+        off = PlannerConfig(profile_plans=False, live=None)
+        on = PlannerConfig(profile_plans=False, live=LiveConfig())
         res_off = QuerySession(red_car_video, zoo=zoo, config=off).execute_many(batch())
         res_on = QuerySession(red_car_video, zoo=zoo, config=on).execute_many(batch())
         for a, b in zip(res_off, res_on):
@@ -143,7 +137,7 @@ class TestOptIn:
 class TestReplayEquality:
     def test_unloaded_replay_matches_batch_event_set(self, red_car_video, zoo):
         queries = [RedCarQuery(), PersonQuery()]
-        session = LiveSession(LiveFeed(red_car_video), zoo=zoo, config=live_config())
+        session = LiveSession(LiveFeed(red_car_video), zoo=zoo, config=live_session_config())
         stats = session.run([RedCarQuery(), PersonQuery()])
         assert event_set(session.alerts()) == batch_event_set(
             red_car_video, zoo, queries
@@ -156,7 +150,7 @@ class TestReplayEquality:
         """The reorder window re-sequences; the scan sees frames in order."""
         feed = LiveFeed(red_car_video, seed=CHAOS_SEED, reorder_rate=0.15)
         assert feed.reordered_frame_ids
-        session = LiveSession(feed, zoo=zoo, config=live_config())
+        session = LiveSession(feed, zoo=zoo, config=live_session_config())
         stats = session.run([RedCarQuery()])
         assert stats.frames_reordered > 0
         assert stats.frames_late_dropped == 0  # window absorbed the disorder
@@ -166,7 +160,7 @@ class TestReplayEquality:
 
     def test_duplicates_are_dropped_and_accounted(self, red_car_video, zoo):
         feed = LiveFeed(red_car_video, seed=CHAOS_SEED, duplicate_rate=0.1)
-        session = LiveSession(feed, zoo=zoo, config=live_config(enable_tracing=True))
+        session = LiveSession(feed, zoo=zoo, config=live_session_config(obs=ObsConfig()))
         stats = session.run([RedCarQuery()])
         assert stats.duplicates_delivered > 0
         assert stats.frames_late_dropped == stats.duplicates_delivered
@@ -188,7 +182,7 @@ class TestOverload:
     ):
         """10x ingest: the buffer cap holds and every frame is accounted."""
         feed = LiveFeed(red_car_video, fps=100, seed=CHAOS_SEED)
-        config = live_config(enable_tracing=True, max_buffered_frames=32)
+        config = live_session_config(obs=ObsConfig(), max_buffered_frames=32)
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run([RedCarQuery()])
         assert stats.peak_buffered <= 32
@@ -205,7 +199,7 @@ class TestOverload:
     def test_stride_coarsens_before_any_hard_drop(self, red_car_video, zoo):
         """Accuracy is shed first: pressure raises precede the first shed."""
         feed = LiveFeed(red_car_video, fps=100, seed=CHAOS_SEED)
-        config = live_config(enable_stride_sampling=True, enable_tracing=True)
+        config = live_session_config(stride=StrideConfig(), obs=ObsConfig())
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run([RedCarQuery()])
         assert stats.pressure_raises > 0
@@ -221,7 +215,7 @@ class TestOverload:
     def test_pressure_stride_relaxes_when_queue_drains(self, red_car_video, zoo):
         """After a lag burst the stride floor returns toward 1."""
         feed = LiveFeed(red_car_video, lag_bursts=[(50, 99, 3000.0)], seed=CHAOS_SEED)
-        config = live_config(enable_stride_sampling=True)
+        config = live_session_config(stride=StrideConfig())
         session = LiveSession(feed, zoo=zoo, config=config)
         session.run([RedCarQuery()])
         # The session-side floor is private; observe via the scheduler.
@@ -240,7 +234,7 @@ class TestOverload:
         video = SyntheticVideo(spec, [car], seed=7)
         feed = LiveFeed(video, fps=100, seed=CHAOS_SEED)
         session = LiveSession(
-            feed, zoo=zoo, config=live_config(max_buffered_frames=16)
+            feed, zoo=zoo, config=live_session_config(max_buffered_frames=16)
         )
         stats = session.run([RedCarQuery()])
         assert stats.frames_shed > 0
@@ -255,8 +249,8 @@ class TestDecodeOnDemand:
         """Shed frames are never rendered; strided ones only when a model reads them."""
         clip = camera_clip("jackson", duration_s=8, seed=2)
         feed = LiveFeed(clip, fps=clip.fps * 3, seed=CHAOS_SEED)
-        config = live_config(
-            enable_stride_sampling=True, enable_tracing=True, max_buffered_frames=16
+        config = live_session_config(
+            stride=StrideConfig(), obs=ObsConfig(), max_buffered_frames=16
         )
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run([RedCarQuery(), PersonQuery()])
@@ -274,7 +268,7 @@ class TestWatchdog:
     def test_disconnect_recovers_with_standing_state_intact(self, red_car_video, zoo):
         """A mid-stream outage reconnects; the scan continues afterwards."""
         feed = LiveFeed(red_car_video, disconnects=[(1000.0, 1800.0)])
-        config = live_config(stall_timeout_ms=300.0)
+        config = live_session_config(stall_timeout_ms=300.0)
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run([RedCarQuery()])
         assert stats.stalls >= 1
@@ -300,7 +294,7 @@ class TestWatchdog:
         # 4 lost frames < the grouper's max_gap of 5: the run stays open.
         feed = LiveFeed(video, disconnects=[(1000.0, 1400.0)])
         session = LiveSession(
-            feed, zoo=zoo, config=live_config(stall_timeout_ms=200.0)
+            feed, zoo=zoo, config=live_session_config(stall_timeout_ms=200.0)
         )
         stats = session.run([RedCarQuery()])
         assert stats.frames_lost == 4
@@ -317,7 +311,7 @@ class TestWatchdog:
         # Ends before the recording does, so frames remain scheduled and the
         # watchdog (not feed exhaustion) decides the session's fate.
         feed = LiveFeed(red_car_video, disconnects=[(1000.0, 25_000.0)])
-        config = live_config(
+        config = live_session_config(
             stall_timeout_ms=200.0,
             max_reconnect_attempts=3,
             reconnect_backoff_base_ms=10.0,
@@ -335,7 +329,7 @@ class TestWatchdog:
                 disconnects=[(1500.0, 2100.0)],
             )
             session = LiveSession(
-                feed, zoo=zoo, config=live_config(stall_timeout_ms=300.0)
+                feed, zoo=zoo, config=live_session_config(stall_timeout_ms=300.0)
             )
             stats = session.run([RedCarQuery()])
             return stats.as_dict(), event_set(session.alerts())
@@ -357,7 +351,7 @@ class TestAlertSinks:
     def test_callback_sink_sees_every_alert(self, red_car_video, zoo):
         seen = []
         session = LiveSession(
-            LiveFeed(red_car_video), zoo=zoo, config=live_config(),
+            LiveFeed(red_car_video), zoo=zoo, config=live_session_config(),
             sinks=[CallbackSink(seen.append)],
         )
         stats = session.run([RedCarQuery(), PersonQuery()])
@@ -376,7 +370,7 @@ class TestAlertSinks:
         assert len(sink) == 0
 
     def test_alert_timestamps_are_monotone(self, red_car_video, zoo):
-        session = LiveSession(LiveFeed(red_car_video), zoo=zoo, config=live_config())
+        session = LiveSession(LiveFeed(red_car_video), zoo=zoo, config=live_session_config())
         session.run([PersonQuery()])
         alerts = session.alerts()
         assert alerts
@@ -393,7 +387,7 @@ class TestSchedulerLiveHooks:
         )
         ctx = ExecutionContext(video, zoo, clock=SimClock())
         return ScanScheduler(
-            [stream], ctx, early_exit=False, stride=config.stride()
+            [stream], ctx, early_exit=False, stride=config.stride
         ), stream, ctx
 
     def test_set_pressure_stride_requires_stride_machinery(self, red_car_video, zoo):
@@ -401,7 +395,7 @@ class TestSchedulerLiveHooks:
         scheduler, _, _ = self._scheduler(red_car_video, zoo, config)
         assert scheduler.set_pressure_stride(4) is False
         assert scheduler.pressure_stride == 1
-        on = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        on = PlannerConfig(profile_plans=False, stride=StrideConfig())
         scheduler_on, _, _ = self._scheduler(red_car_video, zoo, on)
         assert scheduler_on.set_pressure_stride(4) is True
         assert scheduler_on.pressure_stride == 4
@@ -423,7 +417,7 @@ class TestExplain:
     def test_explain_renders_live_section(self, red_car_video, zoo):
         feed = LiveFeed(red_car_video, fps=50, seed=CHAOS_SEED)
         session = LiveSession(
-            feed, zoo=zoo, config=live_config(enable_tracing=True)
+            feed, zoo=zoo, config=live_session_config(obs=ObsConfig())
         )
         session.run([RedCarQuery()])
         report = session.explain()
@@ -432,7 +426,7 @@ class TestExplain:
         assert "Decisions:" in report
 
     def test_explain_before_run_raises(self, red_car_video, zoo):
-        session = LiveSession(LiveFeed(red_car_video), zoo=zoo, config=live_config())
+        session = LiveSession(LiveFeed(red_car_video), zoo=zoo, config=live_session_config())
         with pytest.raises(ExecutionError):
             session.explain()
 

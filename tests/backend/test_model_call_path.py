@@ -12,6 +12,7 @@ import pytest
 
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import QuerySession
+from repro.common.config import IndexConfig, ObsConfig
 from repro.frontend.builtin import Car, GetsInto, Person, RedCar
 from repro.frontend.properties import stateful
 from repro.frontend.query import Query
@@ -109,8 +110,8 @@ class TestModelInvocationSpans:
         video = camera_clip("jackson", duration_s=20, seed=12)
         config = PlannerConfig(
             profile_plans=False,
-            enable_tracing=True,
-            enable_video_index=True,
+            obs=ObsConfig(),
+            index=IndexConfig(),
         )
         store = VideoIndexStore()
         batch = [

@@ -7,7 +7,7 @@ import pytest
 from repro.backend.planner import PlannerConfig
 from repro.backend.results import Event, MultiCameraResult, QueryResult
 from repro.backend.session import MultiCameraSession, QuerySession, _named_feeds
-from repro.common.config import VideoSpec
+from repro.common.config import IndexConfig, ReidConfig, VideoSpec
 from repro.frontend.builtin import Car
 from repro.frontend.higher_order import DurationQuery
 from repro.frontend.query import Query, count_distinct
@@ -98,7 +98,7 @@ class TestMultiCameraSession:
 
         monkeypatch.setattr(threading.Thread, "start", spy)
         config = PlannerConfig(
-            profile_plans=False, enable_cross_camera_reid=True, enable_video_index=True
+            profile_plans=False, reid=ReidConfig(), index=IndexConfig()
         )
         multi = MultiCameraSession(feeds, zoo=zoo, config=config)
         merged = multi.execute(RedCarQuery())

@@ -1,5 +1,7 @@
 """Tests for query analysis, planning, DAG optimization, and execution."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.backend.analysis import analyze_query
@@ -8,10 +10,20 @@ from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.results import Event, MatchRecord, QueryResult
 from repro.backend.runtime import ExecutionContext
 from repro.backend.session import QuerySession
+from repro.common.config import (
+    FaultConfig,
+    IndexConfig,
+    LiveConfig,
+    ObsConfig,
+    ReidConfig,
+    StrideConfig,
+)
 from repro.common.errors import PlanError
+from repro.faults import NO_FAULTS
 from repro.frontend.builtin import Ball, Car, Person, PersonBallInteraction, RedCar
 from repro.frontend.higher_order import CollisionQuery, DurationQuery, SequentialQuery, SpeedQuery
 from repro.frontend.query import Query, count_distinct
+from repro.index import NO_INDEX
 
 
 class RedCarQuery(Query):
@@ -247,6 +259,70 @@ class TestExecutor:
         result = session.execute(RedCarQuery())
         assert "yolox" in result.cost_breakdown
         assert session.cost_breakdown()
+
+
+class TestSubsystemConfigs:
+    """Each optional subsystem is one nested config: None is off, and a
+    tuning value is checked where its config is built."""
+
+    SUBSYSTEMS = {
+        "stride": StrideConfig,
+        "reid": ReidConfig,
+        "obs": ObsConfig,
+        "faults": FaultConfig,
+        "live": LiveConfig,
+        "index": IndexConfig,
+    }
+
+    def test_each_subsystem_is_one_field_absent_by_default(self):
+        config_fields = {f.name: f for f in fields(PlannerConfig)}
+        assert len(config_fields) == 16
+        for name in self.SUBSYSTEMS:
+            assert config_fields[name].default is None
+        for config_cls in self.SUBSYSTEMS.values():
+            assert "enabled" not in {f.name for f in fields(config_cls)}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ObsConfig(max_decision_records=0),
+            lambda: ObsConfig(max_spans=0),
+            lambda: StrideConfig(max_stride=0),
+            lambda: StrideConfig(iou_tol=0.0),
+            lambda: StrideConfig(stable_frames=0),
+        ],
+        ids=["max_decision_records", "max_spans", "max_stride", "iou_tol", "stable_frames"],
+    )
+    def test_out_of_range_tuning_raises_where_its_config_is_built(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_stable_fraction_outside_the_unit_interval_raises(self, fraction):
+        with pytest.raises(ValueError, match="stable_fraction"):
+            StrideConfig(stable_fraction=fraction)
+
+    def test_stable_fraction_prices_at_most_the_detector_cost(self, tiny_video, zoo):
+        # With every frame predictable the planner discounts 1 - 1/max_stride
+        # of the detector cost, never more than the cost itself.
+        config = PlannerConfig(profile_plans=False, stride=StrideConfig(stable_fraction=1.0))
+        planner = Planner(zoo, config)
+        plan = planner.plan(RedCarQuery(), tiny_video)
+        breakdown = {name: 100.0 for name in plan.detector_models()}
+        detector_ms = sum(breakdown.values())
+        discount = planner._stride_detector_discount_ms(plan, breakdown)
+        assert discount == pytest.approx(detector_ms * (1 - 1 / 8))
+        off = Planner(zoo, PlannerConfig(profile_plans=False))
+        assert off._stride_detector_discount_ms(plan, breakdown) == 0.0
+
+    def test_absent_subsystems_execute_normally(self, tiny_video, zoo, fast_config):
+        session = QuerySession(tiny_video, zoo=zoo, config=fast_config)
+        results = session.execute_many([RedCarQuery(), PersonQuery()])
+        assert results[0].matched_frames
+        ctx = session.last_context
+        assert ctx.faults is NO_FAULTS and ctx.index is NO_INDEX
+        assert session.index_store is None and session.last_obs is None
+        assert session.last_scan_stats["peak_stride"] == 1
 
 
 class TestExtractEvents:

@@ -15,7 +15,7 @@ from repro.backend.results import Event
 from repro.backend.runtime import ExecutionContext
 from repro.backend.session import MultiCameraSession, QuerySession
 from repro.backend.streaming import OnlineEventGrouper, PlanStream
-from repro.common.config import VideoSpec
+from repro.common.config import ReidConfig, VideoSpec
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.query import Query, count_distinct
@@ -564,7 +564,7 @@ class TestCrossCameraWithScheduler:
         )
 
     def _session(self, handoff, zoo, **kw):
-        config = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True, **kw)
+        config = PlannerConfig(profile_plans=False, reid=ReidConfig(), **kw)
         return MultiCameraSession(
             handoff.videos, zoo=zoo, config=config, start_offsets=handoff.start_offsets
         )

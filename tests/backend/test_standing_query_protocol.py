@@ -17,7 +17,7 @@ from repro.backend.planner import PlannerConfig
 from repro.backend.scheduler import ScanScheduler
 from repro.backend.session import QuerySession
 from repro.backend.streaming import OnlineEventGrouper
-from repro.common.config import VideoSpec
+from repro.common.config import LiveConfig, VideoSpec
 from repro.frontend.builtin import Car
 from repro.frontend.query import Query
 from repro.videosim.entities import ObjectSpec
@@ -219,20 +219,15 @@ class TestPruneLive:
 
     def test_live_session_memory_stays_bounded(self, zoo):
         """Closed-run history does not accumulate across a long live run."""
-        from dataclasses import replace
-
         bursts = [(i * 40, i * 40 + 10) for i in range(14)]
         video = burst_video(bursts, duration_s=60)
-        config = PlannerConfig(profile_plans=False, enable_live=True)
-        config = replace(
-            config, live_config=replace(config.live_config, prune_interval_frames=16)
-        )
+        config = PlannerConfig(profile_plans=False, live=LiveConfig(prune_interval_frames=16))
         session = LiveSession(LiveFeed(video), zoo=zoo, config=config)
         session.run([RedCarQuery()])
         stream = session._streams[0]
         # 14 bursts × 11 frames matched ≈ 154 match records; bounded-memory
         # pruning must keep only the un-prunable tail.
-        interval = config.live_config.prune_interval_frames
+        interval = config.live.prune_interval_frames
         assert len(stream.result.matches) <= 2 * interval
         # Cost samples refill between prunes; bounded by the interval, with
         # slack for the post-drain tail the shutdown path appends.
@@ -253,7 +248,7 @@ class TestDisorderedDelivery:
 
         monkeypatch.setattr(ScanScheduler, "step", spy)
         feed = LiveFeed(video, seed=9, reorder_rate=0.25, duplicate_rate=0.15)
-        config = PlannerConfig(profile_plans=False, enable_live=True)
+        config = PlannerConfig(profile_plans=False, live=LiveConfig())
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run([RedCarQuery()])
         assert stats.frames_reordered > 0 and stats.duplicates_delivered > 0
@@ -267,7 +262,7 @@ class TestDisorderedDelivery:
             video, zoo=zoo, config=PlannerConfig(profile_plans=False)
         ).execute(DurationQuery(RedCarQuery(), duration_s=2.0))
         feed = LiveFeed(video, seed=9, reorder_rate=0.2, duplicate_rate=0.1)
-        config = PlannerConfig(profile_plans=False, enable_live=True)
+        config = PlannerConfig(profile_plans=False, live=LiveConfig())
         session = LiveSession(feed, zoo=zoo, config=config)
         session.run([DurationQuery(RedCarQuery(), duration_s=2.0)])
         live_events = sorted(

@@ -15,7 +15,7 @@ import pytest
 from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.scheduler import ScanStats
 from repro.backend.session import QuerySession
-from repro.common.config import StrideConfig, VideoSpec
+from repro.common.config import ReidConfig, StrideConfig, VideoSpec
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
 from repro.frontend.properties import vobj_filter
@@ -58,8 +58,8 @@ class PersonQuery(Query):
         return (self.person.track_id,)
 
 
-def sampling_config(**kw) -> PlannerConfig:
-    return PlannerConfig(profile_plans=False, enable_stride_sampling=True, **kw)
+def sampling_config(stride: StrideConfig = StrideConfig(), **kw) -> PlannerConfig:
+    return PlannerConfig(profile_plans=False, stride=stride, **kw)
 
 
 @pytest.fixture
@@ -132,7 +132,8 @@ class TestStrideSampling:
         assert result_on.matched_frames == result_off.matched_frames
 
     def test_stride_rises_and_caps_at_max(self, stable_video, zoo):
-        session = QuerySession(stable_video, zoo=zoo, config=sampling_config(max_stride=4))
+        config = sampling_config(StrideConfig(max_stride=4))
+        session = QuerySession(stable_video, zoo=zoo, config=config)
         session.execute(RedCarQuery())
         stats = session.last_scan_stats
         assert stats["peak_stride"] == 4
@@ -185,14 +186,14 @@ class TestStrideSampling:
         assert stats["peak_stride"] == 1
 
     def test_sampling_off_is_byte_identical_to_pr2(self, phase_change_video, zoo, off_config):
-        """enable_stride_sampling=False must not perturb any result field."""
+        """stride=None must not perturb any result field."""
         batch = lambda: [
             RedCarQuery(),
             PersonQuery(),
             DurationQuery(RedCarQuery(), duration_s=2.0),
             SequentialQuery(RedCarQuery(), PersonQuery(), max_gap_s=5),
         ]
-        explicit_off = PlannerConfig(profile_plans=False, enable_stride_sampling=False)
+        explicit_off = PlannerConfig(profile_plans=False, stride=None)
         a = QuerySession(phase_change_video, zoo=zoo, config=explicit_off).execute_many(batch())
         b = QuerySession(phase_change_video, zoo=zoo, config=off_config).execute_many(batch())
         for res_a, res_b in zip(a, b):
@@ -354,9 +355,7 @@ class TestCrossCameraWithSampling:
     def _session(self, handoff, zoo, **kw):
         from repro.backend.session import MultiCameraSession
 
-        config = PlannerConfig(
-            profile_plans=False, enable_cross_camera_reid=True, **kw
-        )
+        config = PlannerConfig(profile_plans=False, reid=ReidConfig(), **kw)
         return MultiCameraSession(
             handoff.videos, zoo=zoo, config=config, start_offsets=handoff.start_offsets
         )
@@ -364,7 +363,7 @@ class TestCrossCameraWithSampling:
     def test_interpolated_frames_never_source_embeddings(self, handoff, zoo):
         """Re-id must only ever embed detector-observed crops: a track's
         source detection cannot come from an interpolation-seeded frame."""
-        multi = self._session(handoff, zoo, enable_stride_sampling=True)
+        multi = self._session(handoff, zoo, stride=StrideConfig())
         multi.execute(RedCarQuery())
         sampled_somewhere = False
         for name, session in multi.sessions.items():
@@ -381,9 +380,9 @@ class TestCrossCameraWithSampling:
         against ground truth must not degrade."""
         from repro.backend.crosscamera import reid_identity_scores
 
-        sampled = self._session(handoff, zoo, enable_stride_sampling=True)
+        sampled = self._session(handoff, zoo, stride=StrideConfig())
         sampled.execute(RedCarQuery())
-        plain = self._session(handoff, zoo, enable_stride_sampling=False)
+        plain = self._session(handoff, zoo, stride=None)
         plain.execute(RedCarQuery())
         assert reid_identity_scores(sampled.last_links).f1 == pytest.approx(
             reid_identity_scores(plain.last_links).f1
@@ -396,7 +395,7 @@ class TestCrossCameraWithSampling:
         """An exists() bound composed with sampling + re-id: every feed's
         scan stops at its determining frame, and linking still runs over
         the partial tracks."""
-        multi = self._session(handoff, zoo, enable_stride_sampling=True)
+        multi = self._session(handoff, zoo, stride=StrideConfig())
         merged = multi.execute(RedCarQuery().exists())
         assert merged.links is not None
         for name, session in multi.sessions.items():
@@ -454,7 +453,7 @@ class TestGateAwareCostModel:
         assert plan.variant == "no_frame_filters"
 
     def test_stride_discount_applies_to_tracked_plans(self, busy_red_video, zoo):
-        config = PlannerConfig(canary_frames=100, enable_stride_sampling=True)
+        config = PlannerConfig(canary_frames=100, stride=StrideConfig())
         planner = Planner(zoo, config)
         query = GatedRedCarQuery()  # multiple candidates -> profiling runs
         planner.begin_batch([query])

@@ -19,7 +19,7 @@ import pytest
 
 from repro.backend.planner import PlannerConfig
 from repro.backend.session import MultiCameraSession
-from repro.common.config import IndexConfig
+from repro.common.config import IndexConfig, ReidConfig
 from repro.frontend.builtin import Car, Person
 from repro.frontend.query import Query
 from repro.index.schema import video_key
@@ -70,9 +70,8 @@ def scenario():
 def reid_index_config(path=None):
     return PlannerConfig(
         profile_plans=False,
-        enable_cross_camera_reid=True,
-        enable_video_index=True,
-        index_config=IndexConfig(path=path),
+        reid=ReidConfig(),
+        index=IndexConfig(path=path),
     )
 
 

@@ -11,8 +11,8 @@ are never persisted, the disabled path is byte-identical), decode on demand
 indexed one renders none), tracker replay from the ``track_ids``
 table (a warm scan serves tracker output and rebuilds the live tracker at
 the first divergence), the planner's consumption of observed
-per-video statistics (``enable_video_index`` replacing the
-``stride_stable_fraction`` prior), and the observability surface
+per-video statistics (the index's observed stable fraction replacing the
+``StrideConfig.stable_fraction`` prior), and the observability surface
 (the index view's counters, decisions, explain section).
 """
 
@@ -27,7 +27,14 @@ import pytest
 
 from repro.backend.planner import Planner, PlannerConfig
 from repro.backend.session import MultiCameraSession, QuerySession
-from repro.common.config import FaultConfig, IndexConfig, VideoSpec
+from repro.common.config import (
+    FaultConfig,
+    IndexConfig,
+    ObsConfig,
+    ReidConfig,
+    StrideConfig,
+    VideoSpec,
+)
 from repro.common.geometry import BBox
 from repro.faults.resilience import InertFaults
 from repro.frontend.builtin import Car, GetsInto, Person, RedCar
@@ -109,7 +116,8 @@ def video():
 
 
 def indexed_config(**kw):
-    return PlannerConfig(profile_plans=False, enable_video_index=True, **kw)
+    kw.setdefault("index", IndexConfig())
+    return PlannerConfig(profile_plans=False, **kw)
 
 
 def detector_calls(session, model="yolox"):
@@ -226,7 +234,7 @@ class TestVideoIndexStore:
         bucket = {"kinds": {"detections": {"yolox": {"version": yolox, "entries": {"0": [record]}}}}}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"schema_version": 1, "videos": {video_key(video): bucket}}, fh)
-        config = indexed_config(index_config=IndexConfig(path=path))
+        config = indexed_config(index=IndexConfig(path=path))
         with pytest.warns(UserWarning, match="schema version 1"):
             session = QuerySession(video, config=config)
             session.execute(CarQuery())
@@ -342,10 +350,8 @@ class TestRequery:
         indexed_result = indexed.execute(RedCarQuery())
         assert result_signature(indexed_result) == result_signature(plain_result)
         assert indexed.last_context.clock.breakdown() == plain.last_context.clock.breakdown()
-        # index_config alone (switch off) builds no per-execution view.
-        off = QuerySession(
-            video, config=PlannerConfig(profile_plans=False, index_config=IndexConfig())
-        )
+        # No index config, no per-execution view.
+        off = QuerySession(video, config=PlannerConfig(profile_plans=False, index=None))
         off.execute(RedCarQuery())
         assert off.last_context.index is NO_INDEX
 
@@ -360,7 +366,7 @@ class TestRequery:
         # live, and results match an index-free session with the same zoo.
         retrained = default_zoo(seed=5)
         stale = QuerySession(
-            video, zoo=retrained, config=indexed_config(enable_tracing=True), index_store=store
+            video, zoo=retrained, config=indexed_config(obs=ObsConfig()), index_store=store
         )
         stale_result = stale.execute(RedCarQuery())
         assert detector_calls(stale) == detector_calls(cold)
@@ -377,7 +383,7 @@ class TestRequery:
         )
 
     def test_seeded_frames_are_never_persisted(self, video):
-        config = indexed_config(enable_stride_sampling=True)
+        config = indexed_config(stride=StrideConfig())
         store = VideoIndexStore()
         cold = QuerySession(video, config=config, index_store=store)
         cold_result = cold.execute(RedCarQuery())
@@ -398,7 +404,7 @@ class TestRequery:
 
     def test_corrupted_index_file_triggers_full_rescan(self, tmp_path, video):
         path = str(tmp_path / "index.json")
-        config = indexed_config(index_config=IndexConfig(path=path))
+        config = indexed_config(index=IndexConfig(path=path))
         cold = QuerySession(video, config=config)
         cold.execute(RedCarQuery())
         cold_calls = detector_calls(cold)
@@ -459,11 +465,7 @@ class TestEmbeddings:
         )
 
     def test_reid_embeddings_reused_across_executions(self, scenario):
-        config = PlannerConfig(
-            profile_plans=False,
-            enable_cross_camera_reid=True,
-            enable_video_index=True,
-        )
+        config = PlannerConfig(profile_plans=False, reid=ReidConfig(), index=IndexConfig())
         session = MultiCameraSession(
             scenario.videos, config=config, start_offsets=scenario.start_offsets
         )
@@ -482,9 +484,8 @@ class TestEmbeddings:
         # back from the file must key like the live one the cold run saw.
         config = PlannerConfig(
             profile_plans=False,
-            enable_cross_camera_reid=True,
-            enable_video_index=True,
-            index_config=IndexConfig(path=str(tmp_path / "index.json")),
+            reid=ReidConfig(),
+            index=IndexConfig(path=str(tmp_path / "index.json")),
         )
         cold = MultiCameraSession(
             scenario.videos, config=config, start_offsets=scenario.start_offsets
@@ -574,15 +575,9 @@ def retrained_color_zoo():
 
 
 FAULTS = {
-    "none": {},
-    "transient": dict(
-        enable_fault_tolerance=True,
-        fault_config=FaultConfig(transient_rate=0.1),
-    ),
-    "dead": dict(
-        enable_fault_tolerance=True,
-        fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
-    ),
+    "none": None,
+    "transient": FaultConfig(transient_rate=0.1),
+    "dead": FaultConfig(dead_models=(("color_detect", 60),)),
 }
 
 
@@ -595,10 +590,10 @@ class TestPropertyIndex:
         self, color_clip, stride, gating, early_exit, faults
     ):
         config = indexed_config(
-            enable_stride_sampling=stride,
+            stride=StrideConfig() if stride else None,
             enable_scan_gating=gating,
             enable_early_exit=early_exit,
-            **FAULTS[faults],
+            faults=FAULTS[faults],
         )
         store = VideoIndexStore()
         cold, want = run_batch(color_clip, config, store, color_batch())
@@ -614,7 +609,7 @@ class TestPropertyIndex:
     def test_seeded_frame_values_are_not_recorded(self, video, model_frames):
         # Without reuse the colour model also runs on interpolation-seeded
         # detections; those values must stay out of the index.
-        config = indexed_config(enable_stride_sampling=True, enable_reuse=False)
+        config = indexed_config(stride=StrideConfig(), enable_reuse=False)
         store = VideoIndexStore()
         cold, want = run_batch(video, config, store, [RedCarQuery()])
         seeded = cold.last_context.seeded_frames
@@ -630,8 +625,7 @@ class TestPropertyIndex:
 
     def test_failed_call_records_nothing_and_warm_retries_live(self, color_clip):
         dead = indexed_config(
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
+            faults=FaultConfig(dead_models=(("color_detect", 60),)),
         )
         store = VideoIndexStore()
         cold, want = run_batch(color_clip, dead, store, color_batch())
@@ -651,7 +645,7 @@ class TestPropertyIndex:
     def test_retrained_color_model_is_stale_and_runs_live(self, color_clip):
         store = VideoIndexStore()
         run_batch(color_clip, indexed_config(), store, color_batch())
-        config = indexed_config(enable_tracing=True)
+        config = indexed_config(obs=ObsConfig())
         stale = QuerySession(
             color_clip, zoo=retrained_color_zoo(), config=config, index_store=store
         )
@@ -692,7 +686,7 @@ class TestPropertyIndex:
 class TestObservedStats:
     def test_stride_scan_records_stable_fraction_and_planner_consumes_it(self, video):
         store = VideoIndexStore()
-        config = indexed_config(enable_stride_sampling=True)
+        config = indexed_config(stride=StrideConfig())
         session = QuerySession(video, config=config, index_store=store)
         session.execute(RedCarQuery())
 
@@ -707,11 +701,11 @@ class TestObservedStats:
 
     def test_observed_fraction_shifts_the_stride_discount(self, video):
         store = VideoIndexStore()
-        config = indexed_config(enable_stride_sampling=True, stride_stable_fraction=0.5)
+        config = indexed_config(stride=StrideConfig(stable_fraction=0.5))
         session = QuerySession(video, config=config, index_store=store)
         session.execute(RedCarQuery())
         observed = store.observed_stable_fraction(video_key(video), min_frames=1)
-        assert observed != config.stride_stable_fraction
+        assert observed != config.stride.stable_fraction
 
         planner = session.planner
         plan = planner.plan(RedCarQuery(), video)
@@ -732,8 +726,8 @@ class TestObservedStats:
     def test_noisy_short_observations_are_distrusted(self, video):
         store = VideoIndexStore()
         config = indexed_config(
-            enable_stride_sampling=True,
-            index_config=IndexConfig(stats_min_frames=10_000),
+            stride=StrideConfig(),
+            index=IndexConfig(stats_min_frames=10_000),
         )
         session = QuerySession(video, config=config, index_store=store)
         session.execute(RedCarQuery())
@@ -748,7 +742,7 @@ class TestObservedStats:
 class TestObservability:
     def test_metrics_decisions_and_explain_section(self, video):
         store = VideoIndexStore()
-        config = indexed_config(enable_tracing=True)
+        config = indexed_config(obs=ObsConfig())
         cold = QuerySession(video, config=config, index_store=store)
         cold.execute(RedCarQuery())
         cold_counters = cold.last_context.index.counters
@@ -771,7 +765,7 @@ class TestObservability:
 
     def test_disabled_explain_has_no_index_section(self, video):
         session = QuerySession(
-            video, config=PlannerConfig(profile_plans=False, enable_tracing=True)
+            video, config=PlannerConfig(profile_plans=False, obs=ObsConfig())
         )
         result = session.execute(RedCarQuery())
         assert "Index:" not in result.explain()
@@ -853,7 +847,7 @@ class TestTrackerReplay:
     def test_warm_equals_cold_without_detector_or_tracker(self, video, full_index):
         _, cold, cold_session = full_index
         store = warm_store(full_index)
-        warm, got = run_batch(video, indexed_config(enable_tracing=True), store)
+        warm, got = run_batch(video, indexed_config(obs=ObsConfig()), store)
         # Results carry track ids, so this also checks the replayed ids.
         assert got == cold
         assert detector_calls(warm) == 0 and tracker_calls(warm) == 0
@@ -873,7 +867,7 @@ class TestTrackerReplay:
         prefix = track_id_frames(store, video)["kalman_tracker|yolox"]
         assert prefix == list(range(len(prefix))) and 0 < len(prefix) < video.num_frames
 
-        warm, got = run_batch(video, indexed_config(enable_tracing=True), store)
+        warm, got = run_batch(video, indexed_config(obs=ObsConfig()), store)
         assert got == full_index[1]
         (rebuild,) = rebuilds(warm)
         assert rebuild.reason == "table-miss"
@@ -886,17 +880,9 @@ class TestTrackerReplay:
     @pytest.mark.parametrize(
         "knobs",
         [
-            dict(enable_stride_sampling=True),
-            dict(
-                enable_fault_tolerance=True,
-                fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
-            ),
-            dict(
-                enable_fault_tolerance=True,
-                fault_config=FaultConfig(
-                    crash_frames=(("banff", 70),), checkpoint_interval=25
-                ),
-            ),
+            dict(stride=StrideConfig()),
+            dict(faults=FaultConfig(dead_models=(("color_detect", 60),))),
+            dict(faults=FaultConfig(crash_frames=(("banff", 70),), checkpoint_interval=25)),
         ],
         ids=["stride", "degraded", "crash-resume"],
     )
@@ -908,8 +894,7 @@ class TestTrackerReplay:
 
     def test_crash_during_replay_resumes_the_replay(self, video, full_index):
         config = indexed_config(
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(crash_frames=(("banff", 70),), checkpoint_interval=25),
+            faults=FaultConfig(crash_frames=(("banff", 70),), checkpoint_interval=25),
         )
         warm, got = run_batch(video, config, warm_store(full_index))
         assert warm.last_context.scan_stats.scan_resumes == 1
@@ -918,9 +903,8 @@ class TestTrackerReplay:
 
     def test_degraded_frame_rebuilds_for_extrapolation(self, video, full_index):
         config = indexed_config(
-            enable_tracing=True,
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(dead_models=(("color_detect", 60),)),
+            obs=ObsConfig(),
+            faults=FaultConfig(dead_models=(("color_detect", 60),)),
         )
         # The index answers every colour of the full scan; a retrained colour
         # model makes that bucket stale, so colour runs live, fails from
@@ -939,7 +923,7 @@ class TestTrackerReplay:
         store = VideoIndexStore()
         ungated = indexed_config(enable_scan_gating=False)
         run_batch(clip, ungated, store, [TextureCarQuery()])
-        gated = indexed_config(enable_tracing=True)
+        gated = indexed_config(obs=ObsConfig())
         _, cold = run_batch(clip, gated, VideoIndexStore(), [TextureCarQuery()])
         warm, got = run_batch(clip, gated, store, [TextureCarQuery()])
         assert got == cold
@@ -950,7 +934,7 @@ class TestTrackerReplay:
     def test_strided_cold_run_stops_recording_at_the_first_gap(self, video, full_index):
         store = VideoIndexStore()
         strided = QuerySession(
-            video, config=indexed_config(enable_stride_sampling=True), index_store=store
+            video, config=indexed_config(stride=StrideConfig()), index_store=store
         )
         strided.execute_many(batch())
         seeded = strided.last_context.seeded_frames
@@ -958,7 +942,7 @@ class TestTrackerReplay:
         prefix = track_id_frames(store, video)["kalman_tracker|yolox"]
         assert prefix == list(range(len(prefix))) and len(prefix) <= min(seeded)
 
-        warm, got = run_batch(video, indexed_config(enable_tracing=True), store)
+        warm, got = run_batch(video, indexed_config(obs=ObsConfig()), store)
         assert got == full_index[1]
         (rebuild,) = rebuilds(warm)
         assert dict(rebuild.attrs)["replayed"] == len(prefix)
@@ -976,7 +960,7 @@ class TestTrackerReplay:
             seed=0,
         )
         config = PlannerConfig(
-            profile_plans=False, enable_cross_camera_reid=True, enable_video_index=True
+            profile_plans=False, reid=ReidConfig(), index=IndexConfig()
         )
         payloads = []
         for videos in (scenario.videos, dict(reversed(scenario.videos.items()))):
@@ -993,7 +977,7 @@ class TestTrackerReplay:
 class TestSaveSkipsCleanStore:
     def test_unchanged_store_is_not_rewritten(self, tmp_path, video):
         path = str(tmp_path / "index.json")
-        config = indexed_config(index_config=IndexConfig(path=path))
+        config = indexed_config(index=IndexConfig(path=path))
         QuerySession(video, config=config).execute(RedCarQuery())
         before = os.stat(path).st_mtime_ns
         os.utime(path, ns=(before - 10**9, before - 10**9))

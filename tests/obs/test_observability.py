@@ -1,8 +1,8 @@
 """Integration tests for engine-wide observability.
 
-The contract under test: ``PlannerConfig(enable_tracing=True)`` yields
+The contract under test: ``PlannerConfig(obs=ObsConfig())`` yields
 spans, decision records, and ``explain()`` — while leaving every
-result byte-identical to an untraced run; ``enable_tracing=False`` (the
+result byte-identical to an untraced run; ``obs=None`` (the
 default) leaves the engine inert (every hook goes to the shared disabled
 bundle, and every public obs handle stays None).
 """
@@ -17,7 +17,15 @@ from repro.backend.live import LiveSession
 from repro.backend.planner import PlannerConfig
 from repro.backend.scheduler import ScanStats
 from repro.backend.session import MultiCameraSession, QuerySession
-from repro.common.config import FaultConfig, VideoSpec
+from repro.common.config import (
+    FaultConfig,
+    IndexConfig,
+    LiveConfig,
+    ObsConfig,
+    ReidConfig,
+    StrideConfig,
+    VideoSpec,
+)
 from repro.faults import NO_FAULTS
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.query import Query
@@ -90,21 +98,21 @@ def batch():
 class TestDisabledMode:
     def test_default_config_builds_no_obs(self, clip, zoo):
         session = QuerySession(clip, zoo=zoo)
-        assert session.config.enable_tracing is False
+        assert session.config.obs is None
         results = session.execute_many(batch())
         assert session.last_obs is None
         assert session.last_trace is None
         assert all(r.obs is None for r in results)
 
     def test_explain_raises_without_tracing(self, clip, zoo):
-        session = QuerySession(clip, zoo=zoo, config=PlannerConfig(enable_tracing=False))
+        session = QuerySession(clip, zoo=zoo, config=PlannerConfig(obs=None))
         (result, _) = session.execute_many(batch())
-        with pytest.raises(ValueError, match="enable_tracing"):
+        with pytest.raises(ValueError, match=r"obs=ObsConfig\(\)"):
             result.explain()
 
     def test_results_byte_identical_with_tracing(self, clip, zoo):
         plain = QuerySession(clip, zoo=zoo, config=PlannerConfig())
-        traced = QuerySession(clip, zoo=zoo, config=PlannerConfig(enable_tracing=True))
+        traced = QuerySession(clip, zoo=zoo, config=PlannerConfig(obs=ObsConfig()))
         base = plain.execute_many(batch())
         tr = traced.execute_many(batch())
         # dataclass equality covers matches, events, aggregates, per-frame
@@ -145,21 +153,21 @@ class TestDisabledMode:
         assert NO_INDEX.summary() is None
 
     def _contexts_batch(self, clip, zoo):
-        config = PlannerConfig(profile_plans=False, enable_stride_sampling=True)
+        config = PlannerConfig(profile_plans=False, stride=StrideConfig())
         session = QuerySession(clip, zoo=zoo, config=config)
         session.execute_many(batch())
         return [session.last_context]
 
     def _contexts_multicam(self, clip, zoo):
         feeds = {"north": clip, "south": camera_clip("banff", duration_s=6, seed=1)}
-        config = PlannerConfig(profile_plans=False, enable_cross_camera_reid=True)
+        config = PlannerConfig(profile_plans=False, reid=ReidConfig())
         session = MultiCameraSession(feeds, zoo=zoo, config=config)
         session.execute_many(batch())
         return [s.last_context for s in session.sessions.values()]
 
     def _contexts_live(self, clip, zoo):
         config = PlannerConfig(
-            profile_plans=False, enable_live=True, enable_stride_sampling=True
+            profile_plans=False, live=LiveConfig(), stride=StrideConfig()
         )
         session = LiveSession(LiveFeed(clip, fps=clip.fps * 3, seed=5), zoo=zoo, config=config)
         session.run(batch())
@@ -181,11 +189,10 @@ class TestDisabledMode:
         )
         config = PlannerConfig(
             profile_plans=False,
-            enable_tracing=tracing,
-            enable_fault_tolerance=True,
-            fault_config=faults,
-            enable_video_index=True,
-            enable_stride_sampling=True,
+            obs=ObsConfig() if tracing else None,
+            faults=faults,
+            index=IndexConfig(),
+            stride=StrideConfig(),
         )
         session = QuerySession(clip, zoo=zoo, config=config)
         results = session.execute_many(batch())
@@ -199,7 +206,7 @@ class TestDisabledMode:
     def _run_multicam_reid(self, clip, zoo, tracing):
         feeds = {"north": clip, "south": camera_clip("banff", duration_s=6, seed=1)}
         config = PlannerConfig(
-            profile_plans=False, enable_tracing=tracing, enable_cross_camera_reid=True
+            profile_plans=False, obs=ObsConfig() if tracing else None, reid=ReidConfig()
         )
         session = MultiCameraSession(feeds, zoo=zoo, config=config)
         merged = session.execute_many(batch())
@@ -221,13 +228,11 @@ class TestDisabledMode:
         feed = LiveFeed(clip, fps=clip.fps * 3, seed=5, reorder_rate=0.1, duplicate_rate=0.05)
         config = PlannerConfig(
             profile_plans=False,
-            enable_live=True,
-            enable_tracing=tracing,
-            enable_stride_sampling=True,
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(seed=11, transient_rate=0.05),
+            live=LiveConfig(max_buffered_frames=16),
+            obs=ObsConfig() if tracing else None,
+            stride=StrideConfig(),
+            faults=FaultConfig(seed=11, transient_rate=0.05),
         )
-        config = replace(config, live_config=replace(config.live_config, max_buffered_frames=16))
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run(batch())
         assert stats.frames_shed > 0 and stats.frames_late_dropped > 0
@@ -246,7 +251,7 @@ class TestDisabledMode:
 class TestTracedRun:
     @pytest.fixture(scope="class")
     def traced(self, clip, zoo):
-        session = QuerySession(clip, zoo=zoo, config=PlannerConfig(enable_tracing=True))
+        session = QuerySession(clip, zoo=zoo, config=PlannerConfig(obs=ObsConfig()))
         results = session.execute_many(batch())
         return session, results
 
@@ -312,7 +317,7 @@ class TestTracedRun:
 class TestStrideDecisions:
     def test_defer_interpolate_and_stride_moves_are_recorded(self, stable_video, zoo):
         config = PlannerConfig(
-            profile_plans=False, enable_stride_sampling=True, enable_tracing=True
+            profile_plans=False, stride=StrideConfig(), obs=ObsConfig()
         )
         session = QuerySession(stable_video, zoo=zoo, config=config)
         session.execute(RedCarQuery())
@@ -359,12 +364,11 @@ class TestDecisionsMatchCounters:
     def test_faulted_indexed_batch(self, clip, zoo):
         config = PlannerConfig(
             profile_plans=False,
-            enable_tracing=True,
-            enable_fault_tolerance=True,
-            fault_config=FaultConfig(
+            obs=ObsConfig(),
+            faults=FaultConfig(
                 seed=11, transient_rate=0.05, dead_models=(("color_detect", 60),)
             ),
-            enable_video_index=True,
+            index=IndexConfig(),
         )
         store = VideoIndexStore()
         for run in ("cold", "warm"):
@@ -395,15 +399,9 @@ class TestDecisionsMatchCounters:
         )
         config = PlannerConfig(
             profile_plans=False,
-            enable_live=True,
-            enable_tracing=True,
-            enable_stride_sampling=True,
-        )
-        config = replace(
-            config,
-            live_config=replace(
-                config.live_config, max_buffered_frames=16, stall_timeout_ms=200.0
-            ),
+            live=LiveConfig(max_buffered_frames=16, stall_timeout_ms=200.0),
+            obs=ObsConfig(),
+            stride=StrideConfig(),
         )
         session = LiveSession(feed, zoo=zoo, config=config)
         stats = session.run(batch())
@@ -428,7 +426,7 @@ class TestMultiCamera:
         }
 
     def test_lanes_and_decisions_do_not_depend_on_feed_order(self, zoo):
-        config = PlannerConfig(enable_tracing=True)
+        config = PlannerConfig(obs=ObsConfig())
         feeds = self.feeds()
         forward = MultiCameraSession(feeds, zoo=zoo, config=config)
         backward = MultiCameraSession(dict(reversed(feeds.items())), zoo=zoo, config=config)
@@ -451,7 +449,7 @@ class TestMultiCamera:
 
     def test_feed_spans_parent_under_the_batch_root(self, zoo):
         session = MultiCameraSession(
-            self.feeds(), zoo=zoo, config=PlannerConfig(enable_tracing=True)
+            self.feeds(), zoo=zoo, config=PlannerConfig(obs=ObsConfig())
         )
         session.execute_many(batch())
         tracer = session.last_obs.tracer
@@ -476,13 +474,13 @@ class TestMultiCamera:
             assert per_feed["frames_scanned"] > 0
 
     def test_execute_over_exposes_trace_via_session(self, clip, zoo):
-        session = QuerySession(clip, zoo=zoo, config=PlannerConfig(enable_tracing=True))
+        session = QuerySession(clip, zoo=zoo, config=PlannerConfig(obs=ObsConfig()))
         session.execute_over({"other": camera_clip("banff", duration_s=6, seed=1)}, batch())
         assert session.last_trace is session.last_multi.last_obs.tracer
         assert "feed-scan" in {s.name for s in session.last_trace.spans()}
 
     def test_reid_link_span_and_decisions(self, zoo):
-        config = PlannerConfig(enable_tracing=True, enable_cross_camera_reid=True)
+        config = PlannerConfig(obs=ObsConfig(), reid=ReidConfig())
         session = MultiCameraSession(self.feeds(), zoo=zoo, config=config)
         session.execute_many(batch())
         tracer = session.last_obs.tracer

@@ -130,27 +130,40 @@ def test_knob_hygiene_clean_default_false(cleanpkg):
 
 
 def test_knob_hygiene_default_true(badpkg):
-    keys = keys_of(findings_for(badpkg, "knob-hygiene"))
+    findings = findings_for(badpkg, "knob-hygiene")
+    keys = keys_of(findings)
     assert "SC501::knobs.py::RiskyConfig.enable_turbo.default" in keys
     assert "SC501::knobs.py::RiskyConfig.enable_phantom.default" not in keys
+    # A subsystem config must be absent (None) by default.
+    assert "SC501::knobs.py::RiskyConfig.turbo.default" in keys
+    assert "SC501::knobs.py::RiskyConfig.phantom.default" not in keys
+    (turbo,) = [f for f in findings if f.symbol.endswith("RiskyConfig.turbo")]
+    assert "TurboConfig()" in turbo.message and "(None)" in turbo.message
 
 
 def test_knob_hygiene_coverage_and_docs(badpkg, tmp_path):
     tests_dir = tmp_path / "tests"
     tests_dir.mkdir()
+    # A subsystem field's name is a common word: a bare mention of
+    # "phantom" is neither a test of it nor its documentation.
     (tests_dir / "test_knobs.py").write_text(
-        "def test_turbo():\n    assert config(enable_turbo=False)\n"
+        "def test_turbo():\n"
+        "    assert config(enable_turbo=False, turbo=None)  # not the phantom\n"
     )
     docs_dir = tmp_path / "docs"
     docs_dir.mkdir()
-    (docs_dir / "config.md").write_text("`enable_turbo` switches turbo mode.\n")
+    (docs_dir / "config.md").write_text(
+        "`enable_turbo` switches turbo mode and `turbo` tunes it; no phantom here.\n"
+    )
     config = CheckConfig(tests_dir=tests_dir, docs_paths=[docs_dir])
     keys = keys_of(findings_for(badpkg, "knob-hygiene", config))
-    # enable_turbo is tested and documented; enable_phantom is neither
-    assert "SC502::knobs.py::RiskyConfig.enable_phantom.untested" in keys
-    assert "SC503::knobs.py::RiskyConfig.enable_phantom.undocumented" in keys
-    assert "SC502::knobs.py::RiskyConfig.enable_turbo.untested" not in keys
-    assert "SC503::knobs.py::RiskyConfig.enable_turbo.undocumented" not in keys
+    # turbo is tested and documented in both spellings; phantom in neither
+    for name in ("enable_phantom", "phantom"):
+        assert f"SC502::knobs.py::RiskyConfig.{name}.untested" in keys
+        assert f"SC503::knobs.py::RiskyConfig.{name}.undocumented" in keys
+    for name in ("enable_turbo", "turbo"):
+        assert f"SC502::knobs.py::RiskyConfig.{name}.untested" not in keys
+        assert f"SC503::knobs.py::RiskyConfig.{name}.undocumented" not in keys
 
 
 def test_knob_hygiene_subchecks_skipped_without_env(badpkg):
